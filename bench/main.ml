@@ -8,7 +8,6 @@
      dune exec bench/main.exe -- table1 fig5     # a subset
      dune exec bench/main.exe -- --micro         # micro + macro benchmarks
      dune exec bench/main.exe -- --micro --jobs 4
-     dune exec bench/main.exe -- --json out.json # machine-readable baseline
 
    The micro suite measures the primitives with Bechamel (what-if
    optimization, INUM cache construction and cost evaluation, simplex
@@ -17,45 +16,15 @@
    --jobs, printing the total what-if call count and the final
    recommendation so job counts can be checked for identical results.
 
-   --json <file> runs the full pipeline once and writes stage wall-times
-   and Runtime.Stats counters in a stable schema (schema_version 6) as a
-   machine-readable perf baseline for future PRs.  The pipeline runs at
-   the --probe-budget (default 16 per query; 0 = unlimited) and the
-   "inum" section records the lazy-probing stats of that run next to an
-   unlimited-budget leg whose certified objective is bit-identical to
-   eager probing (regret 0).  It also times the LP
-   relaxation of a materialized Theorem-1 BIP under the selected
-   --backend (sparse revised simplex + presolve, or the dense reference
-   kernel) so backend solve-phase speedups are recorded alongside the
-   pipeline numbers, replays a drifting workload through the serve
-   engine (the "serve" section: events/sec, latency quantiles, cache hit
-   rate, warm-vs-scratch retune latency at equal certified objective),
-   and solves the n=1000 homogeneous BIP with the scratch baseline and
-   the core-guided MIP engine at jobs 1/4 (the "bip" section: solve
-   walls, node / cut / warm-resolve counters, determinism and cut
-   certification invariants).
-
-   --trace <file> turns on Runtime.Trace for the run and writes the
-   Chrome trace_event export to <file>; under --json the flat trace
-   metrics (per-phase span totals and counters) are additionally
-   embedded in the bench JSON under the "trace" key (null when tracing
-   is off). *)
+   End-to-end advise timings and recommendation quality live in
+   perfbench/ (see perfbench/README.md). *)
 
 let bench_n = 100
 let bench_seed = 7
 let bench_budget_fraction = 0.5
 
-(* Default per-query INUM probe budget (--probe-budget; 0 = unlimited).
-   16 keeps the hom n=100 pipeline >= 3x under BENCH_4's 3145 probes
-   (build + completion-loop forcing included) while the advisor's refine
-   loop still certifies the recommendation's cost exactly. *)
-let default_probe_budget = 16
-
-(* Workload size for the materialized-BIP LP timing: large enough that
-   the kernels separate, small enough that the dense reference finishes
-   in CI (its per-pivot cost is O(rows^2); at n = 40 it needs upwards of
-   ten CPU-minutes where the sparse kernel takes seconds). *)
-let lp_bench_n = 20
+(* Per-query INUM probe budget of the macro run: the CLI default. *)
+let probe_budget = Some 16
 
 (* Sorted index list of a configuration — a stable identity for
    cross-job-count comparisons. *)
@@ -67,7 +36,7 @@ let config_indexes config =
 (* Macro benchmark backing the acceptance criterion: INUM workload-cache
    construction on a 100-statement workload, then a full advise, with
    everything needed to compare job counts printed. *)
-let macro_suite ~jobs ~probe_budget =
+let macro_suite ~jobs =
   let schema = Catalog.Tpch.schema () in
   let w = Workload.Gen.hom schema ~n:bench_n ~seed:bench_seed in
   let env = Optimizer.Whatif.make_env schema in
@@ -89,394 +58,6 @@ let macro_suite ~jobs ~probe_budget =
     r.Cophy.Advisor.report.Cophy.Solver.objective
     (String.concat "; " (config_indexes r.Cophy.Advisor.config));
   Fmt.pr "%a@." Runtime.Stats.pp r.Cophy.Advisor.timings.Cophy.Advisor.stats
-
-let backend_of_kind = function
-  | `Sparse -> Lp.Backend.default
-  | `Dense -> Lp.Backend.dense_reference
-
-let backend_name = function `Sparse -> "sparse" | `Dense -> "dense"
-
-(* LP solve-phase timing on a materialized Theorem-1 BIP — the instance
-   class where the kernel dominates the solve.  Returns the JSON
-   fragment.  With [check] set, the model is analyzed with
-   [Lp.Analyze.check] before the solve (static errors abort) and the
-   relaxation optimum is certified afterwards; the certificate summary
-   lands in the JSON. *)
-let lp_phase ?(check = false) ~backend_kind () =
-  let schema = Catalog.Tpch.schema () in
-  let w = Workload.Gen.hom schema ~n:lp_bench_n ~seed:bench_seed in
-  let env = Optimizer.Whatif.make_env schema in
-  let cache = Inum.build_workload env w in
-  let cands = Array.of_list (Cophy.Cgen.generate w) in
-  let sp = Cophy.Sproblem.build env cache cands in
-  let budget = bench_budget_fraction *. Catalog.Tpch.database_size schema in
-  let p, _vars = Cophy.Sproblem.to_lp ~budget sp in
-  if check then begin
-    let issues = Lp.Analyze.check p in
-    List.iter (fun i -> Fmt.epr "check: %a@." Lp.Analyze.pp_issue i) issues;
-    if Lp.Analyze.has_errors issues then begin
-      Fmt.epr "check: BIP scenario model has errors@.";
-      exit 1
-    end
-  end;
-  let stats = Lp.Backend.create_stats () in
-  let backend =
-    { (backend_of_kind backend_kind) with Lp.Backend.stats = Some stats }
-  in
-  let t0 = Runtime.Clock.now () in
-  let r = Lp.Backend.solve backend p in
-  let dt = Runtime.Clock.now () -. t0 in
-  let cert_json =
-    if not check then ""
-    else
-      match r.Lp.Simplex.status with
-      | Lp.Simplex.Optimal ->
-          (* Certify against rows and bounds; duals come along for the
-             dual-residual check — hard when the backend ran without
-             presolve (no removed-row slack to excuse), report-only
-             otherwise.  [int_vars:[]]: this is the LP relaxation, so
-             the binary marks are intentionally not enforced on the
-             optimum. *)
-          let cert =
-            Lp.Analyze.certify ~presolve:backend.Lp.Backend.presolve
-              ~duals:r.Lp.Simplex.duals
-              ~obj:(r.Lp.Simplex.obj +. Lp.Problem.obj_offset p)
-              ~int_vars:[] p r.Lp.Simplex.x
-          in
-          if not cert.Lp.Analyze.cert_ok then begin
-            List.iter (Fmt.epr "certify: %s@.") cert.Lp.Analyze.cert_issues;
-            Fmt.epr "certify: BIP scenario relaxation failed certification@.";
-            exit 1
-          end;
-          Printf.sprintf {|,"certificate":%S|}
-            (Lp.Analyze.certificate_summary cert)
-      | _ ->
-          Fmt.epr "certify: BIP scenario relaxation did not solve to optimal@.";
-          exit 1
-  in
-  Printf.sprintf
-    {|{"n":%d,"rows":%d,"vars":%d,"status":"%s","objective":%.6f,"solve_seconds":%.6f,"pivots":%d,"refactorizations":%d,"presolve":{"rows_removed":%d,"vars_removed":%d,"bounds_tightened":%d}%s}|}
-    lp_bench_n (Lp.Problem.nrows p) (Lp.Problem.nvars p)
-    (match r.Lp.Simplex.status with
-    | Lp.Simplex.Optimal -> "optimal"
-    | Lp.Simplex.Infeasible -> "infeasible"
-    | Lp.Simplex.Unbounded -> "unbounded"
-    | Lp.Simplex.Iter_limit -> "iter_limit")
-    r.Lp.Simplex.obj dt stats.Lp.Backend.kernel.Lp.Simplex.pivots
-    stats.Lp.Backend.kernel.Lp.Simplex.refactorizations
-    stats.Lp.Backend.presolve.Lp.Presolve.rows_removed
-    stats.Lp.Backend.presolve.Lp.Presolve.vars_removed
-    stats.Lp.Backend.presolve.Lp.Presolve.bounds_tightened
-    cert_json
-
-(* Serving benchmark backing the daemon's acceptance criteria: replay a
-   drifting workload (bench_n templates) through the serve engine, then
-   compare warm retunes against cold from-scratch solves.
-
-   Reported invariants:
-   - [repeat_probes] must be 0: a repeat query (same canonical key) never
-     costs an optimizer probe, so keyed-store misses = distinct keys.
-   - [objectives_equal]: every warm retune lands on the same certified
-     objective as a from-scratch solve of the identical instance, up to
-     the solver's termination gap (both paths stop at [gap_tolerance],
-     so their incumbents can differ within it; the observed worst case
-     is recorded as [max_objective_rel_diff], typically ~1e-4).
-     Certification itself runs inside the solver ([certify:true]), so a
-     bad solution on either path aborts the bench.
-   - [speedup]: median warm retune latency vs. median cold solve (fresh
-     optimizer env, fresh store: the batch path the daemon replaces). *)
-let serve_events = 300
-let serve_drift_steps = 3
-
-let serve_phase ~jobs () =
-  let schema = Catalog.Tpch.schema () in
-  let events =
-    Workload.Replay.drift ~recommend_every:50 schema ~n:bench_n
-      ~events:serve_events ~seed:bench_seed
-  in
-  let engine = Serve.Engine.create ~window:256 ~jobs schema in
-  let distinct = Hashtbl.create 64 in
-  let n_statements = ref 0 in
-  let n_recommends = ref 0 in
-  let t0 = Runtime.Clock.now () in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Workload.Replay.Statement (s, d) ->
-          incr n_statements;
-          Hashtbl.replace distinct (Sqlast.Canon.statement_key s) ();
-          Serve.Engine.observe engine s d
-      | Workload.Replay.Recommend ->
-          incr n_recommends;
-          ignore (Serve.Engine.recommend engine))
-    events;
-  let replay_seconds = Runtime.Clock.now () -. t0 in
-  let st = Serve.Engine.stats_response engine in
-  let fget k =
-    match Option.bind (Serve.Json.member k st) Serve.Json.to_float with
-    | Some f -> f
-    | None ->
-        Fmt.epr "serve stats missing %S@." k;
-        exit 1
-  in
-  let session = Serve.Engine.session engine in
-  let store = Cophy.Interactive.store session in
-  let repeat_probes = Inum.Keyed.misses store - Hashtbl.length distinct in
-  (* warm retunes after small frequency deltas vs. cold solves of the
-     identical workload (fresh env + store + candidates = batch path) *)
-  let options =
-    {
-      Cophy.Solver.default_options with
-      Cophy.Solver.method_ = Cophy.Solver.Decomposed;
-      certify = true;
-    }
-  in
-  let budget = 0.25 *. Catalog.Tpch.database_size schema in
-  let warm_ms = ref [] in
-  let scratch_ms = ref [] in
-  let max_rel_diff = ref 0.0 in
-  for step = 1 to serve_drift_steps do
-    let w = Cophy.Interactive.workload session in
-    (* bump one statement's frequency per step, round-robin *)
-    let victim = List.nth w (step mod List.length w) in
-    Cophy.Interactive.set_weight session
-      (Sqlast.Ast.statement_id victim.Sqlast.Ast.stmt)
-      (victim.Sqlast.Ast.weight *. 1.5);
-    let t0 = Runtime.Clock.now () in
-    let warm = Cophy.Interactive.retune ~options session in
-    warm_ms := ((Runtime.Clock.now () -. t0) *. 1000.0) :: !warm_ms;
-    let t0 = Runtime.Clock.now () in
-    (* same instance (workload, weights, candidate pool), but cold: fresh
-       optimizer env and keyed store, so every INUM template rebuilds and
-       the decomposition starts without multipliers or an incumbent *)
-    let cold_session =
-      Cophy.Interactive.create ~jobs
-        ~candidates:(Cophy.Interactive.candidates session)
-        schema
-        (Cophy.Interactive.workload session)
-        ~budget
-    in
-    let cold = Cophy.Interactive.retune ~options cold_session in
-    scratch_ms := ((Runtime.Clock.now () -. t0) *. 1000.0) :: !scratch_ms;
-    let rel =
-      Float.abs (warm.Cophy.Solver.objective -. cold.Cophy.Solver.objective)
-      /. Float.max 1.0 cold.Cophy.Solver.objective
-    in
-    max_rel_diff := Float.max !max_rel_diff rel
-  done;
-  let objectives_equal = !max_rel_diff <= options.Cophy.Solver.gap_tolerance in
-  let median xs =
-    let arr = Array.of_list xs in
-    Array.sort Float.compare arr;
-    arr.(Array.length arr / 2)
-  in
-  let warm_median = median !warm_ms in
-  let scratch_median = median !scratch_ms in
-  Fmt.pr
-    "serve jobs=%d: %d events (%d recommends) in %.3fs, hit_rate=%.3f, \
-     repeat_probes=%d, warm=%.1fms scratch=%.1fms (x%.1f), \
-     objectives_equal=%b (max rel diff %.2e)@."
-    jobs !n_statements !n_recommends replay_seconds (fget "cache_hit_rate")
-    repeat_probes warm_median scratch_median
-    (scratch_median /. Float.max 1e-9 warm_median)
-    objectives_equal !max_rel_diff;
-  Printf.sprintf
-    {|{"events":%d,"recommends":%d,"events_per_sec":%.1f,"p50_ms":%.3f,"p99_ms":%.3f,"cache_hit_rate":%.6f,"distinct_keys":%d,"repeat_probes":%d,"warm_median_ms":%.3f,"scratch_median_ms":%.3f,"speedup":%.2f,"objectives_equal":%b,"max_objective_rel_diff":%.6e}|}
-    !n_statements !n_recommends
-    (float_of_int !n_statements /. Float.max 1e-9 replay_seconds)
-    (fget "p50_ms") (fget "p99_ms") (fget "cache_hit_rate")
-    (Hashtbl.length distinct) repeat_probes warm_median scratch_median
-    (scratch_median /. Float.max 1e-9 warm_median)
-    objectives_equal !max_rel_diff
-
-(* MIP-engine benchmark backing the PR-7 acceptance criteria: build the
-   large homogeneous instance once, then solve it three ways — the PR-6
-   scratch baseline (core-guided off, jobs 1) and the core-guided engine
-   at jobs 1 and 4 — and report solve walls, the branch-and-bound / cut /
-   warm-start counters, and the determinism invariant (jobs-1 and jobs-4
-   certified objectives bit-identical).  Counter deltas come from
-   Runtime.Trace, which is enabled for the duration of this phase if it
-   was not already.
-
-   Reported invariants:
-   - [jobs_objectives_identical]: the parallel driver is deterministic —
-     the certified objective at jobs 4 is bit-identical to jobs 1.
-   - [objectives_gap_equal]: baseline and core-guided solves agree up to
-     the solver's termination gap (both stop at [gap_tolerance]).
-   - [cuts_uncertified] must be 0: every cut the engine added was
-     satisfied by the final incumbent.
-   - [speedup]: baseline solve wall over core-guided jobs-1 solve wall
-     (the acceptance target is >= 10x). *)
-let bip_bench_n = 1000
-
-let bip_counter_keys =
-  [
-    "bb.nodes"; "bb.cuts_added"; "bb.warm_resolves"; "bb.cuts_uncertified";
-    "cuts.separated"; "cuts.added"; "cuts.evicted"; "cg.hardened";
-  ]
-
-let bip_phase ?(check = false) () =
-  let schema = Catalog.Tpch.schema () in
-  let w = Workload.Gen.hom schema ~n:bip_bench_n ~seed:bench_seed in
-  let env = Optimizer.Whatif.make_env schema in
-  let cache = Inum.build_workload ~jobs:4 env w in
-  let cands = Array.of_list (Cophy.Cgen.generate w) in
-  let sp = Cophy.Sproblem.build env cache cands in
-  let budget = bench_budget_fraction *. Catalog.Tpch.database_size schema in
-  let was_enabled = Runtime.Trace.enabled () in
-  if not was_enabled then Runtime.Trace.enable ();
-  let counter name =
-    Option.value ~default:0 (List.assoc_opt name (Runtime.Trace.counters ()))
-  in
-  let solve ~core ~jobs =
-    let options =
-      {
-        Cophy.Solver.default_options with
-        Cophy.Solver.method_ = Cophy.Solver.Decomposed;
-        jobs;
-        core_guided = core;
-        certify = check;
-      }
-    in
-    let before = List.map (fun k -> (k, counter k)) bip_counter_keys in
-    let r = Cophy.Solver.solve ~options sp ~budget ~z_rows:[] in
-    let deltas =
-      List.map
-        (fun k -> (k, counter k - List.assoc k before))
-        bip_counter_keys
-    in
-    (r, deltas)
-  in
-  let scratch, _ = solve ~core:false ~jobs:1 in
-  let core1, d1 = solve ~core:true ~jobs:1 in
-  let core4, _ = solve ~core:true ~jobs:4 in
-  if not was_enabled then Runtime.Trace.disable ();
-  let d k = List.assoc k d1 in
-  let nodes = d "bb.nodes" in
-  let warm = d "bb.warm_resolves" in
-  let cuts_uncertified = d "bb.cuts_uncertified" in
-  let cuts_active = d "cuts.added" - d "cuts.evicted" in
-  let warm_rate = float_of_int warm /. float_of_int (max 1 nodes) in
-  let speedup =
-    scratch.Cophy.Solver.solve_seconds
-    /. Float.max 1e-9 core1.Cophy.Solver.solve_seconds
-  in
-  (* bit-exact on purpose: jobs=1 and jobs=4 must agree to the last ulp
-     (the determinism contract), so no tolerance is wanted here *)
-  let[@lint.allow float_eq] jobs_identical =
-    core1.Cophy.Solver.objective = core4.Cophy.Solver.objective
-  in
-  let gap_equal =
-    Float.abs (scratch.Cophy.Solver.objective -. core1.Cophy.Solver.objective)
-    <= Cophy.Solver.default_options.Cophy.Solver.gap_tolerance
-       *. Float.min scratch.Cophy.Solver.objective
-            core1.Cophy.Solver.objective
-  in
-  Fmt.pr
-    "bip n=%d: scratch=%.3fs core_j1=%.3fs core_j4=%.3fs (x%.1f), nodes=%d \
-     cuts=%d/%d (uncertified=%d) warm=%d (rate %.2f) hardened=%d, \
-     jobs_identical=%b gap_equal=%b@."
-    bip_bench_n scratch.Cophy.Solver.solve_seconds
-    core1.Cophy.Solver.solve_seconds core4.Cophy.Solver.solve_seconds speedup
-    nodes
-    (d "cuts.separated")
-    cuts_active cuts_uncertified warm warm_rate (d "cg.hardened")
-    jobs_identical gap_equal;
-  if check && not jobs_identical then begin
-    Fmt.epr "bip: certified objectives differ across jobs 1/4@.";
-    exit 1
-  end;
-  if check && cuts_uncertified > 0 then begin
-    Fmt.epr "bip: %d cuts violated by the final incumbent@." cuts_uncertified;
-    exit 1
-  end;
-  Printf.sprintf
-    {|{"n":%d,"vars":%d,"blocks":%d,"scratch":{"solve_seconds":%.6f,"objective":%.6f,"bound":%.6f,"gap":%.6f},"core":{"jobs1_solve_seconds":%.6f,"jobs4_solve_seconds":%.6f,"objective":%.6f,"bound":%.6f,"gap":%.6f},"speedup":%.2f,"nodes":%d,"cuts_separated":%d,"cuts_active":%d,"cuts_uncertified":%d,"warm_resolves":%d,"warm_resolve_rate":%.4f,"cg_hardened":%d,"jobs_objectives_identical":%b,"objectives_gap_equal":%b}|}
-    bip_bench_n
-    (Cophy.Sproblem.variable_count sp)
-    (Cophy.Sproblem.num_blocks sp)
-    scratch.Cophy.Solver.solve_seconds scratch.Cophy.Solver.objective
-    scratch.Cophy.Solver.bound scratch.Cophy.Solver.gap
-    core1.Cophy.Solver.solve_seconds core4.Cophy.Solver.solve_seconds
-    core1.Cophy.Solver.objective core1.Cophy.Solver.bound
-    core1.Cophy.Solver.gap speedup nodes
-    (d "cuts.separated")
-    cuts_active cuts_uncertified warm warm_rate (d "cg.hardened")
-    jobs_identical gap_equal
-
-(* --json: one pipeline run, stable machine-readable schema.  [check]
-   turns on Solver certification for the pipeline solve and the
-   analyzer + certifier on the materialized BIP scenario. *)
-let json_mode ?(check = false) ~jobs ~backend_kind ~probe_budget file =
-  (* Fail on an unwritable path before the (expensive) pipeline run. *)
-  let oc =
-    try open_out file
-    with Sys_error msg ->
-      Fmt.epr "cannot write %s: %s@." file msg;
-      exit 1
-  in
-  let schema = Catalog.Tpch.schema () in
-  let w = Workload.Gen.hom schema ~n:bench_n ~seed:bench_seed in
-  let stats = Runtime.Stats.create () in
-  let r =
-    Cophy.Advisor.advise ~jobs ~stats
-      ~backend:(backend_of_kind backend_kind) ~certify:check ?probe_budget
-      schema w ~budget_fraction:bench_budget_fraction
-  in
-  let t = r.Cophy.Advisor.timings in
-  (* Second leg: the same pipeline with an unlimited budget.  The lazy
-     probe loop then certifies every skip, so its kept template sets —
-     and the certified objective — are bit-identical to eager probing
-     with zero residual regret; the leg anchors the budgeted headline
-     numbers. *)
-  let r_unl =
-    Cophy.Advisor.advise ~jobs
-      ~backend:(backend_of_kind backend_kind) ~certify:check schema w
-      ~budget_fraction:bench_budget_fraction
-  in
-  let inum_json =
-    Printf.sprintf
-      {|{"probe_budget":%d,"total_init_calls":%d,"pending_probes":%d,"probe_regret":%.6f,"combos_truncated":%d,"unlimited":{"total_init_calls":%d,"objective":%.6f,"probe_regret":%.6f,"combos_truncated":%d}}|}
-      (Option.value ~default:0 probe_budget)
-      (Inum.total_init_calls r.Cophy.Advisor.cache)
-      (Inum.cache_pending r.Cophy.Advisor.cache)
-      r.Cophy.Advisor.report.Cophy.Solver.probe_regret
-      (Inum.cache_truncated r.Cophy.Advisor.cache)
-      (Inum.total_init_calls r_unl.Cophy.Advisor.cache)
-      r_unl.Cophy.Advisor.report.Cophy.Solver.objective
-      r_unl.Cophy.Advisor.report.Cophy.Solver.probe_regret
-      (Inum.cache_truncated r_unl.Cophy.Advisor.cache)
-  in
-  let lp_json = lp_phase ~check ~backend_kind () in
-  let serve_json = serve_phase ~jobs () in
-  let bip_json = bip_phase ~check () in
-  let trace_json =
-    if Runtime.Trace.enabled () then Runtime.Trace.to_metrics_json ()
-    else "null"
-  in
-  let json =
-    Printf.sprintf
-      {|{"schema_version":6,"workload":{"shape":"hom","n":%d,"seed":%d},"jobs":%d,"backend":"%s","budget_fraction":%g,"timings":{"inum_seconds":%.6f,"build_seconds":%.6f,"solve_seconds":%.6f},"stats":%s,"result":{"objective":%.6f,"bound":%.6f,"gap":%.6f,"probe_regret":%.6f,"total_init_calls":%d,"indexes":[%s]},"inum":%s,"lp":%s,"serve":%s,"bip":%s,"trace":%s}|}
-      bench_n bench_seed jobs
-      (backend_name backend_kind)
-      bench_budget_fraction t.Cophy.Advisor.inum_seconds
-      t.Cophy.Advisor.build_seconds t.Cophy.Advisor.solve_seconds
-      (Runtime.Stats.to_json stats)
-      r.Cophy.Advisor.report.Cophy.Solver.objective
-      r.Cophy.Advisor.report.Cophy.Solver.bound
-      r.Cophy.Advisor.report.Cophy.Solver.gap
-      r.Cophy.Advisor.report.Cophy.Solver.probe_regret
-      (Inum.total_init_calls r.Cophy.Advisor.cache)
-      (String.concat ","
-         (List.map
-            (fun s -> Printf.sprintf "%S" s)
-            (config_indexes r.Cophy.Advisor.config)))
-      inum_json lp_json serve_json bip_json trace_json
-  in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "wrote %s@." file
 
 let micro_suite () =
   let open Bechamel in
@@ -556,23 +137,12 @@ let micro_suite () =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  (* --jobs N and --json FILE take a value; strip them before the
-     experiment-name filter. *)
+  (* --jobs N takes a value; strip it before the experiment-name
+     filter. *)
   let jobs = ref 1 in
-  let json = ref None in
-  let check = ref false in
-  let backend_kind = ref `Sparse in
-  let trace = ref None in
-  let probe_budget = ref default_probe_budget in
   let rest = ref [] in
   let rec parse = function
     | [] -> ()
-    | "--trace" :: f :: tl ->
-        trace := Some f;
-        parse tl
-    | [ "--trace" ] ->
-        Fmt.epr "--trace expects a file path@.";
-        exit 2
     | "--jobs" :: v :: tl -> (
         match int_of_string_opt v with
         | Some n ->
@@ -584,40 +154,6 @@ let () =
     | [ "--jobs" ] ->
         Fmt.epr "--jobs expects a value@.";
         exit 2
-    | "--probe-budget" :: v :: tl -> (
-        match int_of_string_opt v with
-        | Some n when n >= 0 ->
-            probe_budget := n;
-            parse tl
-        | _ ->
-            Fmt.epr "--probe-budget expects a non-negative integer, got %S@." v;
-            exit 2)
-    | [ "--probe-budget" ] ->
-        Fmt.epr "--probe-budget expects a value@.";
-        exit 2
-    | "--json" :: f :: tl ->
-        json := Some f;
-        parse tl
-    | [ "--json" ] ->
-        Fmt.epr "--json expects a file path@.";
-        exit 2
-    | "--check" :: tl ->
-        check := true;
-        parse tl
-    | "--backend" :: v :: tl -> (
-        match v with
-        | "sparse" ->
-            backend_kind := `Sparse;
-            parse tl
-        | "dense" ->
-            backend_kind := `Dense;
-            parse tl
-        | _ ->
-            Fmt.epr "--backend expects sparse or dense, got %S@." v;
-            exit 2)
-    | [ "--backend" ] ->
-        Fmt.epr "--backend expects a value@.";
-        exit 2
     | a :: tl ->
         rest := a :: !rest;
         parse tl
@@ -625,34 +161,9 @@ let () =
   parse args;
   let args = List.rev !rest in
   let jobs = if !jobs <= 0 then Runtime.recommended_jobs () else !jobs in
-  (* 0 = unlimited: probe everything not certified away. *)
-  let probe_budget = if !probe_budget = 0 then None else Some !probe_budget in
-  (match !trace with
-  | None -> ()
-  | Some tf ->
-      Runtime.Trace.enable ();
-      (* at_exit keeps the (partial) trace on early-exit paths too. *)
-      at_exit (fun () ->
-          let oc = open_out tf in
-          output_string oc (Runtime.Trace.to_chrome_json ());
-          output_char oc '\n';
-          close_out oc;
-          Fmt.pr "wrote trace %s@." tf));
-  match !json with
-  | Some file ->
-      json_mode ~check:!check ~jobs ~backend_kind:!backend_kind ~probe_budget
-        file
-  | None ->
-  if !check then begin
-    (* Standalone --check: analyze + certify the committed BIP scenario
-       and stop (combine with --json to also record the certificate). *)
-    ignore (lp_phase ~check:true ~backend_kind:!backend_kind ());
-    Fmt.pr "check: BIP scenario certified ok@."
-  end
-  else
   if List.mem "--micro" args then begin
     micro_suite ();
-    macro_suite ~jobs ~probe_budget
+    macro_suite ~jobs
   end
   else begin
     let selected =

@@ -9,7 +9,7 @@ type timings = {
   inum_seconds : float;
   build_seconds : float;   (* candidate generation + BIP construction *)
   solve_seconds : float;
-  stats : Runtime.Stats.t; (* per-stage counters and accumulated timers *)
+  stats : Runtime.Stats.t; (* pipeline counters *)
 }
 
 type recommendation = {
@@ -33,7 +33,7 @@ let advise ?(params = Optimizer.Cost_params.default)
     ?probe_budget schema (w : Sqlast.Ast.workload) ~budget_fraction =
   (* Batch advice is the one-shot form of an interactive session: create
      (INUM through the keyed store + candidate generation), build the
-     BIP, retune once.  The two entry points share one code spine. *)
+     BIP, converge once.  The two entry points share one code spine. *)
   let stats = match stats with Some s -> s | None -> Runtime.Stats.create () in
   let budget = budget_fraction *. Catalog.Tpch.database_size schema in
   let t0 = Runtime.Clock.now () in
@@ -44,13 +44,11 @@ let advise ?(params = Optimizer.Cost_params.default)
           schema w ~budget)
   in
   let t1 = Runtime.Clock.now () in
-  Runtime.Stats.add_stage_seconds stats Runtime.Stats.Inum_build (t1 -. t0);
   let sp =
     Runtime.Trace.span "advisor.bip_build" (fun () ->
         Interactive.problem session)
   in
   let t2 = Runtime.Clock.now () in
-  Runtime.Stats.add_stage_seconds stats Runtime.Stats.Bip_build (t2 -. t1);
   let solver_options = { solver_options with Solver.jobs } in
   let solver_options =
     match backend with
@@ -62,32 +60,12 @@ let advise ?(params = Optimizer.Cost_params.default)
     | Some c -> { solver_options with Solver.certify = c }
     | None -> solver_options
   in
+  (* The solve phase includes the probe-budget refine rounds. *)
   let report =
     Runtime.Trace.span "advisor.solve" (fun () ->
-        Interactive.retune ~options:solver_options session)
-  in
-  (* Probe-budget completion loop: force the deferred INUM probes whose
-     bound interval overlaps the recommendation's best instantiation,
-     then warm-started re-solve against the tightened (at this
-     configuration, exact) cost model; repeat until the incumbent's cost
-     model is exact, i.e. [refine_at] forces nothing.  The iteration cap
-     is a safety net — each round spends probes only where the previous
-     recommendation was optimistic, so rounds shrink fast; if the cap
-     ever bites, the report still carries the certified [probe_regret]
-     bound. *)
-  let report =
-    Runtime.Trace.span "advisor.refine" (fun () ->
-        let rec converge report rounds =
-          if rounds = 0 then report
-          else if Interactive.refine_at session report.Solver.config = 0 then
-            report
-          else converge (Interactive.retune ~options:solver_options session)
-                 (rounds - 1)
-        in
-        converge report 8)
+        Interactive.converge ~options:solver_options session)
   in
   let t3 = Runtime.Clock.now () in
-  Runtime.Stats.add_stage_seconds stats Runtime.Stats.Solve (t3 -. t2);
   Runtime.Stats.add_whatif_calls stats
     (Optimizer.Whatif.whatif_calls (Interactive.env session));
   let cands = Array.of_list (Interactive.candidates session) in

@@ -3,10 +3,10 @@
 type timings = {
   inum_seconds : float;   (** INUM cache construction *)
   build_seconds : float;  (** candidate generation + BIP construction *)
-  solve_seconds : float;
+  solve_seconds : float;  (** solve, probe-budget refine rounds included *)
   stats : Runtime.Stats.t;
-      (** per-stage counters (what-if calls, INUM probes/templates,
-          subproblem solves, cost evals) and accumulated stage timers *)
+      (** pipeline counters (what-if calls, INUM probes/templates,
+          subproblem solves, cost evals) *)
 }
 
 type recommendation = {

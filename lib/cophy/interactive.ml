@@ -12,7 +12,7 @@
    order of magnitude faster than solving from scratch (Fig. 6b).
 
    [Advisor.advise] is the one-shot form of a session: create, build
-   the problem, retune once. *)
+   the problem, converge once. *)
 
 open Sqlast
 
@@ -233,6 +233,26 @@ let refine_at s config =
   let forced = Inum.refine_cache s.cache ~config in
   if forced > 0 then s.problem <- None;
   forced
+
+(* Cap on refine rounds in [converge].  A safety net: each round spends
+   probes only where the previous recommendation was optimistic, so
+   rounds shrink fast; if the cap ever bites, the report still carries
+   the certified [probe_regret] bound. *)
+let max_refine_rounds = 8
+
+(* Retune, then complete the probe budget: force the deferred INUM
+   probes whose bound interval overlaps the recommendation's best
+   instantiation and re-solve warm against the tightened (at this
+   configuration, exact) cost model, until [refine_at] forces nothing.
+   With an unlimited budget the first report stands. *)
+let converge ?options s =
+  let report = retune ?options s in
+  Runtime.Trace.span "interactive.refine" @@ fun () ->
+  let rec go report rounds =
+    if rounds = 0 || refine_at s report.Solver.config = 0 then report
+    else go (retune ?options s) (rounds - 1)
+  in
+  go report max_refine_rounds
 
 (* Certified INUM probe regret of the session's current cost model
    (weighted; zero when probing was unlimited or fully refined). *)

@@ -86,6 +86,14 @@ val retune : ?options:Solver.options -> session -> Solver.report
     model is already exact at [config]. *)
 val refine_at : session -> Storage.Config.t -> int
 
+(** [converge ?options s] — {!retune}, then while {!refine_at} forces
+    probes at the recommendation, retune again (at most 8 rounds).  The
+    result's cost model is exact at its own configuration unless the
+    cap bites; its [probe_regret] bounds what is left.  The refine
+    rounds run under one [interactive.refine] trace span.
+    @raise Solver.Infeasible as {!retune}. *)
+val converge : ?options:Solver.options -> session -> Solver.report
+
 (** Certified INUM probe regret of the current cost model (weighted sum
     of {!Inum.probe_regret}); zero when probing was unlimited. *)
 val probe_regret : session -> float

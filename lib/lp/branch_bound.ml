@@ -2,12 +2,12 @@
    relaxation, rebuilt as a warm-started, cut-generating, parallel
    best-first node-pool search.
 
-   The engine never mutates variable bounds of the input problem: a node
-   is a list of bound tightenings passed to the simplex session as
-   overrides, which is what lets one immutable {!Problem.t} be shared by
-   every worker domain.  Root processing separates lifted cover cuts
-   from the storage-budget knapsack rows ({!Cuts}) and installs the
-   violated ones as ordinary rows before the tree starts.  Node
+   The engine never mutates the input problem: a node is a list of
+   bound tightenings passed to the simplex session as overrides, which
+   is what lets one immutable {!Problem.t} be shared by every worker
+   domain.  Root processing separates lifted cover cuts from the
+   storage-budget knapsack rows ({!Cuts}) and installs the violated ones
+   as ordinary rows of a private copy before the tree starts.  Node
    re-solves restore the parent's basis snapshot and repair primal
    feasibility with the dual simplex ({!Simplex.warm_solve}) — typically
    a handful of pivots instead of a full two-phase solve.
@@ -181,6 +181,10 @@ let node_compare order (a : node) (b : node) =
       | c -> c)
 
 let solve ?(options = default_options) (p : Problem.t) =
+  (* Root cover cuts are installed as rows: work on a private copy so
+     the caller's problem, and any later solve of it, is left as it
+     was. *)
+  let p = if options.cuts then Problem.copy p else p in
   let t0 = Runtime.Clock.now () in
   let elapsed () = Runtime.Clock.now () -. t0 in
   let int_vars =
@@ -448,7 +452,12 @@ let solve ?(options = default_options) (p : Problem.t) =
           let stop () =
             round_fresh := true;
             if gap_ok () then begin
-              stop_status := Some Feasible;
+              (* A bound that reached the incumbent proves it optimal:
+                 every open node is at or above it. *)
+              stop_status :=
+                Some
+                  (if !global_bound >= Atomic.get incumbent_obj then Optimal
+                   else Feasible);
               true
             end
             else if elapsed () > options.time_limit || !nodes >= options.node_limit
@@ -484,8 +493,13 @@ let solve ?(options = default_options) (p : Problem.t) =
           in
           let expand node out =
             if !round_fresh then begin
+              (* The optimum is the smaller of the incumbent and the
+                 open-pool minimum, so the bound never passes the
+                 incumbent. *)
               (if options.search.Search.node_order = Search.Best_bound then
-                 global_bound := max !global_bound node.nb);
+                 global_bound :=
+                   Float.max !global_bound
+                     (Float.min node.nb (Atomic.get incumbent_obj)));
               round_fresh := false
             end;
             match out with

@@ -2,11 +2,11 @@
     cut-generating, parallel best-first node-pool search.
 
     Nodes are bound tightenings passed to per-slot {!Simplex.session}s
-    as overrides — the input problem's variable bounds are never
-    mutated, so one immutable problem is shared by all worker domains.
-    (Root cover cuts, when enabled, {e are} installed as extra rows of
-    the input problem; they are valid for every integer-feasible point
-    and participate in {!Analyze.certify} like any other row.)  Node
+    as overrides, so one immutable problem is shared by all worker
+    domains.  The input problem is never mutated: root cover cuts, when
+    enabled, are installed as extra rows of a private copy; they are
+    valid for every integer-feasible point and participate in
+    {!Analyze.certify} like any other row.  Node
     re-solves restore the parent's basis snapshot and repair primal
     feasibility with the dual simplex; cover cuts from the
     storage-budget knapsack rows tighten the root.  The search runs in
@@ -83,7 +83,10 @@ type result = {
   status : status;
   x : float array option;  (** best integer solution found *)
   obj : float;  (** objective of [x], including the problem offset *)
-  bound : float;  (** proven lower bound, including the offset *)
+  bound : float;
+      (** proven lower bound, including the offset; the search never
+          advances it past [obj], and [status] is [Optimal] once it
+          reaches [obj]. *)
   nodes : int;
   cuts_added : int;  (** cover cuts installed at the root *)
   warm_resolves : int;  (** node LPs re-solved from a parent basis *)

@@ -40,6 +40,18 @@ let create () =
   { vars = [||]; nvars = 0; rows = []; nrows = 0; frozen_rows = None;
     obj_offset = 0.0 }
 
+(* Deep copy: variables and rows are mutable records, so each is copied;
+   later [add_row]/[set_*] calls on either side leave the other intact. *)
+let copy t =
+  {
+    vars = Array.map (fun (v : var) -> { v with obj = v.obj }) t.vars;
+    nvars = t.nvars;
+    rows = List.map (fun (r : row) -> { r with rhs = r.rhs }) t.rows;
+    nrows = t.nrows;
+    frozen_rows = None;
+    obj_offset = t.obj_offset;
+  }
+
 let nvars t = t.nvars
 let nrows t = t.nrows
 

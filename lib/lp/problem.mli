@@ -27,6 +27,11 @@ type row = {
 type t
 
 val create : unit -> t
+
+(** Independent deep copy: rows added to or bounds changed on one side
+    never show on the other. *)
+val copy : t -> t
+
 val nvars : t -> int
 val nrows : t -> int
 

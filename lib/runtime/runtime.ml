@@ -108,8 +108,9 @@ type worker = {
   mutable stop : bool;
 }
 
-(* Set on pool domains so a nested [parallel_map] from inside a worker
-   degrades to sequential instead of deadlocking on [pool_lock]. *)
+(* Set on pool domains, and on the calling domain while it works its
+   share of a parallel section, so a nested [parallel_map] from inside
+   [f] degrades to sequential instead of re-locking [pool_lock]. *)
 let in_worker = Domain.DLS.new_key (fun () -> false)
 
 let worker_loop w () =
@@ -248,7 +249,10 @@ let parallel_map ?jobs f arr =
          Mutex.unlock latch_lock
        in
        List.iter (fun w -> submit w helper_job) enlisted;
+       (* [body] never raises: [f]'s exceptions go to [failure]. *)
+       Domain.DLS.set in_worker true;
        body ();
+       Domain.DLS.set in_worker false;
        Mutex.lock latch_lock;
        while !remaining > 0 do
          Condition.wait latch_cond latch_lock
@@ -272,17 +276,12 @@ let parallel_map ?jobs f arr =
 (* ------------------------------------------------------------------ *)
 
 module Stats = struct
-  type stage = Inum_build | Bip_build | Solve
-
   type t = {
     whatif_calls : int Atomic.t;
     inum_probes : int Atomic.t;
     inum_templates : int Atomic.t;
     subproblem_solves : int Atomic.t;
     cost_evals : int Atomic.t;
-    inum_build_s : float Atomic.t;
-    bip_build_s : float Atomic.t;
-    solve_s : float Atomic.t;
   }
 
   let create () =
@@ -292,9 +291,6 @@ module Stats = struct
       inum_templates = Atomic.make 0;
       subproblem_solves = Atomic.make 0;
       cost_evals = Atomic.make 0;
-      inum_build_s = Atomic.make 0.0;
-      bip_build_s = Atomic.make 0.0;
-      solve_s = Atomic.make 0.0;
     }
 
   let reset t =
@@ -302,10 +298,7 @@ module Stats = struct
     Atomic.set t.inum_probes 0;
     Atomic.set t.inum_templates 0;
     Atomic.set t.subproblem_solves 0;
-    Atomic.set t.cost_evals 0;
-    Atomic.set t.inum_build_s 0.0;
-    Atomic.set t.bip_build_s 0.0;
-    Atomic.set t.solve_s 0.0
+    Atomic.set t.cost_evals 0
 
   let add a k = if k <> 0 then ignore (Atomic.fetch_and_add a k)
   let add_whatif_calls t k = add t.whatif_calls k
@@ -319,42 +312,12 @@ module Stats = struct
   let subproblem_solves t = Atomic.get t.subproblem_solves
   let cost_evals t = Atomic.get t.cost_evals
 
-  let add_float a dt =
-    let rec go () =
-      let prev = Atomic.get a in
-      if not (Atomic.compare_and_set a prev (prev +. dt)) then go ()
-    in
-    if Fx.nonzero dt then go ()
-
-  let stage_cell t = function
-    | Inum_build -> t.inum_build_s
-    | Bip_build -> t.bip_build_s
-    | Solve -> t.solve_s
-
-  let add_stage_seconds t stage dt = add_float (stage_cell t stage) dt
-  let stage_seconds t stage = Atomic.get (stage_cell t stage)
-
-  let timed t stage f =
-    let t0 = Clock.now () in
-    Fun.protect ~finally:(fun () -> add_stage_seconds t stage (Clock.now () -. t0)) f
-
   let pp ppf t =
     Fmt.pf ppf
-      "@[<v>counters: whatif=%d inum_probes=%d templates=%d sproblems=%d \
-       cost_evals=%d@,\
-       stages:   inum_build=%.3fs bip_build=%.3fs solve=%.3fs@]"
+      "counters: whatif=%d inum_probes=%d templates=%d sproblems=%d \
+       cost_evals=%d"
       (whatif_calls t) (inum_probes t) (inum_templates t) (subproblem_solves t)
       (cost_evals t)
-      (stage_seconds t Inum_build)
-      (stage_seconds t Bip_build) (stage_seconds t Solve)
-
-  let to_json t =
-    Printf.sprintf
-      {|{"counters":{"whatif_calls":%d,"inum_probes":%d,"inum_templates":%d,"subproblem_solves":%d,"cost_evals":%d},"stage_seconds":{"inum_build":%.6f,"bip_build":%.6f,"solve":%.6f}}|}
-      (whatif_calls t) (inum_probes t) (inum_templates t) (subproblem_solves t)
-      (cost_evals t)
-      (stage_seconds t Inum_build)
-      (stage_seconds t Bip_build) (stage_seconds t Solve)
 end
 
 (* ------------------------------------------------------------------ *)

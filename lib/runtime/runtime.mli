@@ -82,15 +82,10 @@ end
 
 (** Atomic instrumentation counters shared across domains.  A [Stats.t]
     value can be handed to every pipeline stage and mutated concurrently;
-    all updates are monotonic (counters only grow, timers only
-    accumulate). *)
+    all updates are monotonic.  Phase wall times live in
+    [Cophy.Advisor.timings] and in {!Trace} spans. *)
 module Stats : sig
   type t
-
-  type stage =
-    | Inum_build  (** INUM workload-cache construction (what-if probing) *)
-    | Bip_build  (** structured BIP ([Sproblem]) construction *)
-    | Solve  (** BIP solve (exact or decomposition) *)
 
   val create : unit -> t
   val reset : t -> unit
@@ -111,20 +106,7 @@ module Stats : sig
   val subproblem_solves : t -> int
   val cost_evals : t -> int
 
-  val add_stage_seconds : t -> stage -> float -> unit
-  (** Accumulate wall time into a stage timer. *)
-
-  val stage_seconds : t -> stage -> float
-
-  val timed : t -> stage -> (unit -> 'a) -> 'a
-  (** [timed t stage f] runs [f ()] and charges its wall time (measured on
-      {!Clock.now}) to [stage], even if [f] raises. *)
-
   val pp : Format.formatter -> t -> unit
-
-  val to_json : t -> string
-  (** Stable one-object JSON dump:
-      [{"counters":{...},"stage_seconds":{...}}]. *)
 end
 
 (** Zero-overhead-when-off observability: named atomic counters and

@@ -230,21 +230,7 @@ let recommend t =
       certify = t.certify;
     }
   in
-  let report = Cophy.Interactive.retune ~options t.session in
-  (* Probe-budget completion (see Advisor.advise): force the deferred
-     INUM probes overlapping the incumbent and re-solve warm until the
-     recommendation's cost model is exact at its own configuration.
-     With an unlimited budget [refine_at] is a no-op and the first
-     report stands. *)
-  let rec converge report rounds =
-    if
-      rounds = 0
-      || Cophy.Interactive.refine_at t.session report.Cophy.Solver.config = 0
-    then report
-    else
-      converge (Cophy.Interactive.retune ~options t.session) (rounds - 1)
-  in
-  let report = converge report 8 in
+  let report = Cophy.Interactive.converge ~options t.session in
   let ms = (Runtime.Clock.now () -. t0) *. 1000.0 in
   Runtime.Trace.incr tr_recommends;
   t.recommends <- t.recommends + 1;
@@ -349,22 +335,24 @@ let handle t request =
           | None -> err "statement: missing \"sql\""
           | Some sql -> (
               let delta =
-                match
-                  Option.bind (Json.member "delta" request) Json.to_float
-                with
-                | Some d -> d
-                | None -> 1.0
+                Option.value ~default:1.0
+                  (Option.bind (Json.member "delta" request) Json.to_float)
               in
-              match Parse.statement t.schema sql with
-              | stmt ->
-                  observe t stmt delta;
-                  Json.Obj
-                    [
-                      ("ok", Json.Bool true);
-                      ("op", Json.Str "statement");
-                      ("key", Json.Str (Canon.statement_key stmt));
-                    ]
-              | exception Parse.Parse_error m -> err ("parse error: " ^ m)))
+              (* an infinite mass never leaves the window and poisons
+                 every later solve *)
+              if not (Runtime.Fx.is_finite delta) then
+                err "statement: \"delta\" must be a finite number"
+              else
+                match Parse.statement t.schema sql with
+                | stmt ->
+                    observe t stmt delta;
+                    Json.Obj
+                      [
+                        ("ok", Json.Bool true);
+                        ("op", Json.Str "statement");
+                        ("key", Json.Str (Canon.statement_key stmt));
+                      ]
+                | exception Parse.Parse_error m -> err ("parse error: " ^ m)))
       | Some "recommend" -> recommend t
       | Some "whatif" -> (
           match Option.bind (Json.member "sql" request) Json.to_str with

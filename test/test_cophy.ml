@@ -731,6 +731,173 @@ let test_trace_neutrality () =
       (4, Lp.Backend.dense_reference, "jobs 4, dense");
     ]
 
+(* --- Pipeline invariants at benchmark scale --- *)
+
+(* The hom n=100 advise at probe budget 16 (the CLI default), budget
+   0.5 of the database, certification on.  Shared by the backend, trace
+   and lazy-probing cases below. *)
+let hom100 = Workload.Gen.hom schema ~n:100 ~seed:7
+
+let advise100 ?backend ?probe_budget () =
+  Cophy.Advisor.advise ?backend ~certify:true ?probe_budget schema hom100
+    ~budget_fraction:0.5
+
+let hom100_budget16 = lazy (advise100 ~probe_budget:16 ())
+
+let index_names (r : Cophy.Advisor.recommendation) =
+  List.map Storage.Index.to_string (Storage.Config.to_list r.Cophy.Advisor.config)
+
+let objective (r : Cophy.Advisor.recommendation) =
+  r.Cophy.Advisor.report.Cophy.Solver.objective
+
+(* The LP kernel is an implementation detail: the dense reference
+   backend lands on the sparse backend's certified recommendation. *)
+let test_hom100_backends_agree () =
+  let sparse = Lazy.force hom100_budget16 in
+  let dense =
+    advise100 ~backend:Lp.Backend.dense_reference ~probe_budget:16 ()
+  in
+  Alcotest.(check (list string)) "same indexes" (index_names sparse)
+    (index_names dense);
+  Alcotest.(check (float 1e-6)) "same objective" (objective sparse)
+    (objective dense)
+
+(* Tracing is pure observation at benchmark scale too. *)
+let test_hom100_trace_neutral () =
+  let plain = Lazy.force hom100_budget16 in
+  Runtime.Trace.reset ();
+  Runtime.Trace.enable ();
+  let traced =
+    Fun.protect ~finally:Runtime.Trace.disable (fun () ->
+        advise100 ~probe_budget:16 ())
+  in
+  Alcotest.(check (float 0.0)) "objective bit-identical" (objective plain)
+    (objective traced);
+  Alcotest.(check (list string)) "same indexes" (index_names plain)
+    (index_names traced);
+  Alcotest.(check bool) "spans and counters recorded" true
+    (Runtime.Trace.spans () <> [] && Runtime.Trace.counters () <> []);
+  (* the Chrome export: complete ("X") events at non-negative times *)
+  let field k ev = Option.get (Serve.Json.member k ev) in
+  let chrome = Serve.Json.of_string (Runtime.Trace.to_chrome_json ()) in
+  match field "traceEvents" chrome with
+  | Serve.Json.List (_ :: _ as events) ->
+      List.iter
+        (fun ev ->
+          let num k = Option.get (Serve.Json.to_float (field k ev)) in
+          Alcotest.(check bool) "complete event at ts, dur >= 0" true
+            (field "ph" ev = Serve.Json.Str "X"
+            && num "ts" >= 0.0
+            && num "dur" >= 0.0))
+        events
+  | _ -> Alcotest.fail "no trace events"
+
+(* Lazy probing: with an unlimited budget every skip is certified, so
+   the result is the eager pipeline's (pinned objective, zero regret);
+   budget 16 spends at most a third of the eager build's 3145 probes
+   and is never worse.  The enumeration cap does not depend on the
+   budget. *)
+let test_hom100_lazy_probing () =
+  let budgeted = Lazy.force hom100_budget16 in
+  let unlimited = advise100 () in
+  let regret (r : Cophy.Advisor.recommendation) =
+    r.Cophy.Advisor.report.Cophy.Solver.probe_regret
+  in
+  Alcotest.(check (float 0.0)) "unlimited: zero regret" 0.0 (regret unlimited);
+  Alcotest.(check string) "unlimited: eager objective" "9667349.718036"
+    (Printf.sprintf "%.6f" (objective unlimited));
+  let probes = Inum.total_init_calls budgeted.Cophy.Advisor.cache in
+  Alcotest.(check bool)
+    (Printf.sprintf "budget 16: %d probes <= 3145/3" probes)
+    true
+    (probes * 3 <= 3145);
+  Alcotest.(check bool) "budget 16: objective <= unlimited" true
+    (objective budgeted <= objective unlimited +. 1e-6);
+  Alcotest.(check int) "combos_truncated independent of the budget"
+    (Inum.cache_truncated unlimited.Cophy.Advisor.cache)
+    (Inum.cache_truncated budgeted.Cophy.Advisor.cache)
+
+(* The structured BIP of hom n=[n] (seed 7), materialized as one LP
+   at budget 0.5. *)
+let hom_sproblem ?(jobs = 1) n =
+  let w = Workload.Gen.hom schema ~n ~seed:7 in
+  let e = env () in
+  let cache = Inum.build_workload ~jobs e w in
+  Cophy.Sproblem.build e cache (Array.of_list (Cophy.Cgen.generate w))
+
+(* The materialized hom n=20 BIP is statically clean, and its LP
+   relaxation solves to a certified optimum under both backends (the
+   dual residual is hard without presolve, report-only with it). *)
+let test_materialized_bip_certified () =
+  let p, _ = Cophy.Sproblem.to_lp ~budget:(0.5 *. db_size) (hom_sproblem 20) in
+  let issues = Lp.Analyze.check p in
+  Alcotest.(check bool) "Analyze.check: no errors" false
+    (Lp.Analyze.has_errors issues);
+  List.iter
+    (fun (backend, label) ->
+      let r = Lp.Backend.solve backend p in
+      Alcotest.(check bool) (label ^ ": optimal") true
+        (r.Lp.Simplex.status = Lp.Simplex.Optimal);
+      let cert =
+        Lp.Analyze.certify ~presolve:backend.Lp.Backend.presolve
+          ~duals:r.Lp.Simplex.duals
+          ~obj:(r.Lp.Simplex.obj +. Lp.Problem.obj_offset p)
+          ~int_vars:[] p r.Lp.Simplex.x
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: certified (%s)" label
+           (Lp.Analyze.certificate_summary cert))
+        true cert.Lp.Analyze.cert_ok)
+    [ (Lp.Backend.default, "sparse"); (Lp.Backend.dense_reference, "dense") ]
+
+(* The MIP engine on the hom n=1000 BIP: core-guided solves are
+   bit-identical at jobs 1 and 4, every cut holds at the incumbent, the
+   plain decomposition agrees within the termination gap, and branch
+   and bound actually branched, warm-resolved and cut. *)
+let test_mip_engine_n1000 () =
+  let sp = hom_sproblem ~jobs:4 1000 in
+  let budget = 0.5 *. db_size in
+  let keys =
+    [ "bb.nodes"; "bb.warm_resolves"; "bb.cuts_uncertified"; "cuts.separated" ]
+  in
+  let counter k =
+    Option.value ~default:0 (List.assoc_opt k (Runtime.Trace.counters ()))
+  in
+  let solve ~core ~jobs =
+    let options =
+      {
+        Cophy.Solver.default_options with
+        Cophy.Solver.method_ = Cophy.Solver.Decomposed;
+        jobs;
+        core_guided = core;
+        certify = true;
+      }
+    in
+    let before = List.map counter keys in
+    let r = Cophy.Solver.solve ~options sp ~budget ~z_rows:[] in
+    (r, List.map2 (fun k b -> (k, counter k - b)) keys before)
+  in
+  Runtime.Trace.reset ();
+  Runtime.Trace.enable ();
+  let (plain, _), (core1, d1), (core4, _) =
+    Fun.protect ~finally:Runtime.Trace.disable (fun () ->
+        let plain = solve ~core:false ~jobs:1 in
+        let core1 = solve ~core:true ~jobs:1 in
+        (plain, core1, solve ~core:true ~jobs:4))
+  in
+  let obj (r : Cophy.Solver.report) = r.Cophy.Solver.objective in
+  Alcotest.(check (float 0.0)) "jobs 1 = jobs 4, bit-identical" (obj core1)
+    (obj core4);
+  Alcotest.(check int) "no uncertified cut" 0 (List.assoc "bb.cuts_uncertified" d1);
+  Alcotest.(check bool) "plain and core-guided agree within the gap" true
+    (Float.abs (obj plain -. obj core1)
+    <= Cophy.Solver.default_options.Cophy.Solver.gap_tolerance
+       *. Float.min (obj plain) (obj core1));
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " > 0") true (List.assoc k d1 > 0))
+    [ "bb.nodes"; "bb.warm_resolves"; "cuts.separated" ]
+
 let () =
   Alcotest.run "cophy"
     [
@@ -798,5 +965,21 @@ let () =
             test_backend_determinism_decomposition;
           Alcotest.test_case "trace on/off x jobs x backend grid" `Quick
             test_trace_neutrality;
+        ] );
+      ( "hom_n100",
+        [
+          Alcotest.test_case "sparse = dense backend (certified)" `Slow
+            test_hom100_backends_agree;
+          Alcotest.test_case "trace on = off (certified)" `Slow
+            test_hom100_trace_neutral;
+          Alcotest.test_case "lazy probing vs unlimited" `Slow
+            test_hom100_lazy_probing;
+        ] );
+      ( "materialized",
+        [
+          Alcotest.test_case "n=20 analyze + certified relaxation" `Slow
+            test_materialized_bip_certified;
+          Alcotest.test_case "n=1000 MIP engine invariants" `Slow
+            test_mip_engine_n1000;
         ] );
     ]

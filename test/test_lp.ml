@@ -374,6 +374,54 @@ let prop_bb_cuts_warm_jobs_agree =
       && a.Lp.Branch_bound.nodes = b.Lp.Branch_bound.nodes
       && near a c && near c d)
 
+(* The proven bound never passes the incumbent, and a bound that
+   reaches it reports [Optimal].  On these instances the first merge of
+   a round pops a node whose LP bound lies above the incumbent (an
+   uncapped bound ended 0.778 above obj on 187731, 4.61 on 900441). *)
+let test_bb_bound_capped_at_incumbent () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun warm ->
+          let p = build_random_knapsack_bip seed in
+          let options =
+            {
+              Lp.Branch_bound.default_options with
+              Lp.Branch_bound.gap_tolerance = 1e-9;
+              warm_start = warm;
+            }
+          in
+          let r = Lp.Branch_bound.solve ~options p in
+          let ctx = Printf.sprintf "seed %d warm %b" seed warm in
+          Alcotest.(check bool)
+            (ctx ^ ": bound <= obj") true
+            (r.Lp.Branch_bound.bound <= r.Lp.Branch_bound.obj +. 1e-9);
+          Alcotest.(check bool)
+            (ctx ^ ": optimal") true
+            (r.Lp.Branch_bound.status = Lp.Branch_bound.Optimal))
+        [ true; false ])
+    [ 187731; 900441; 700259; 220705 ]
+
+(* Cover cuts go into a private copy: the caller's problem keeps its
+   rows, so a second solve of it starts from the same LP and replays
+   the same search (this instance separates cuts and branches). *)
+let test_bb_does_not_mutate_problem () =
+  let p = build_random_knapsack_bip 865136 in
+  let rows = Lp.Problem.nrows p in
+  let solve jobs =
+    Lp.Branch_bound.solve
+      ~options:{ Lp.Branch_bound.default_options with Lp.Branch_bound.jobs }
+      p
+  in
+  let a = solve 1 in
+  Alcotest.(check bool) "cuts were installed" true
+    (a.Lp.Branch_bound.cuts_added > 0);
+  Alcotest.(check int) "nrows unchanged" rows (Lp.Problem.nrows p);
+  let b = solve 4 in
+  Alcotest.(check int) "same node count" a.Lp.Branch_bound.nodes
+    b.Lp.Branch_bound.nodes;
+  Alcotest.(check int) "nrows still unchanged" rows (Lp.Problem.nrows p)
+
 (* Dual-simplex warm-resolve regression: perturb the bounds of a solved
    LP and check the warm resolve from the saved parent basis lands on
    the cold primal optimum (or agrees on in/feasibility).  This is the
@@ -1242,6 +1290,10 @@ let () =
             test_dual_warm_matches_cold;
           QCheck_alcotest.to_alcotest prop_bb_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_bb_cuts_warm_jobs_agree;
+          Alcotest.test_case "bound capped at incumbent" `Quick
+            test_bb_bound_capped_at_incumbent;
+          Alcotest.test_case "problem not mutated" `Quick
+            test_bb_does_not_mutate_problem;
         ] );
       ( "analyze",
         [

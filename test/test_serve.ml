@@ -183,13 +183,25 @@ let strip_latency v =
            kvs)
   | v -> v
 
-let run_stream lines =
-  let e = engine () in
-  List.map
-    (fun line ->
-      Serve.Json.to_string
-        (strip_latency (Serve.Json.of_string (Serve.Engine.handle_line e line))))
-    lines
+let replay e lines =
+  List.map (fun l -> Serve.Json.of_string (Serve.Engine.handle_line e l)) lines
+
+(* Replay [lines] on a fresh engine from [make], then again traced;
+   checks the stripped reply streams agree and returns the plain
+   replies. *)
+let replay_plain_traced make lines =
+  let plain = replay (make ()) lines in
+  Runtime.Trace.reset ();
+  Runtime.Trace.enable ();
+  let traced =
+    Fun.protect ~finally:Runtime.Trace.disable (fun () ->
+        replay (make ()) lines)
+  in
+  let strip rs = List.map (fun r -> Serve.Json.to_string (strip_latency r)) rs in
+  List.iter2
+    (Alcotest.(check string) "trace does not change replies")
+    (strip plain) (strip traced);
+  plain
 
 let test_engine_deterministic_under_trace () =
   let stmts = statements ~n:3 ~seed:8 in
@@ -208,17 +220,141 @@ let test_engine_deterministic_under_trace () =
       stmts
     @ [ {|{"op":"recommend"}|}; {|{"op":"stats"}|} ]
   in
-  let plain = run_stream lines in
-  Runtime.Trace.reset ();
-  Runtime.Trace.enable ();
-  let traced =
-    Fun.protect ~finally:Runtime.Trace.disable (fun () -> run_stream lines)
-  in
-  List.iter2
-    (Alcotest.(check string) "trace does not change replies")
-    plain traced;
+  ignore (replay_plain_traced engine lines);
   Alcotest.(check bool) "serve spans recorded" true
     (List.length (Runtime.Trace.spans ()) > 0)
+
+(* --- The committed fixture stream, as the daemon replays it --- *)
+
+let fixture_lines () =
+  let ic = open_in "fixtures/serve_smoke.jsonl" in
+  let rec read acc =
+    match input_line ic with
+    | line -> read (if String.trim line = "" then acc else line :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  read []
+
+(* The daemon's defaults: window 256, storage budget 0.25, probe budget
+   16, certification on. *)
+let daemon_engine () =
+  Serve.Engine.create ~window:256 ~budget_fraction:0.25 ~probe_budget:16 schema
+
+let num k v = Option.get (Serve.Json.to_float (member_exn k v))
+
+let op_is name v = Serve.Json.member "op" v = Some (Serve.Json.Str name)
+
+let check_all_ok replies =
+  List.iter
+    (fun r ->
+      Alcotest.(check bool)
+        ("ok: " ^ Serve.Json.to_string r)
+        true
+        (member_exn "ok" r = Serve.Json.Bool true))
+    replies
+
+(* Plain and traced replays give the same replies once the latency
+   fields are stripped; every reply is ok, every recommendation is
+   non-empty with a non-negative gap and latency quantiles, the final
+   stats saw optimizer probes, and the traced run recorded serve.*
+   spans. *)
+let test_fixture_replay () =
+  let plain = replay_plain_traced daemon_engine (fixture_lines ()) in
+  check_all_ok plain;
+  let recs = List.filter (op_is "recommend") plain in
+  Alcotest.(check bool) "a recommendation was served" true (recs <> []);
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "non-empty indexes" true
+        (member_exn "indexes" r <> Serve.Json.List []);
+      Alcotest.(check bool) "gap >= 0" true (num "gap" r >= 0.0);
+      ignore (num "p50_ms" r, num "p99_ms" r))
+    recs;
+  (match List.rev (List.filter (op_is "stats") plain) with
+  | st :: _ ->
+      Alcotest.(check bool) "inum_probes > 0" true (num "inum_probes" st > 0.0)
+  | [] -> Alcotest.fail "no stats reply");
+  Alcotest.(check bool) "serve.* spans recorded" true
+    (List.exists
+       (fun (sp : Runtime.Trace.span) ->
+         String.starts_with ~prefix:"serve." sp.Runtime.Trace.sname)
+       (Runtime.Trace.spans ()))
+
+(* An infinite frequency delta would never leave the window and would
+   make every later recommend raise [Solver.Infeasible]: it is rejected
+   without touching the engine, and the fixture then replays cleanly. *)
+let test_nonfinite_delta_rejected () =
+  let e = daemon_engine () in
+  let events () = num "events" (Serve.Engine.stats_response e) in
+  let before = events () in
+  let sql = sql_of (List.hd (statements ~n:1 ~seed:7)) in
+  let bad =
+    Serve.Json.of_string
+      (Serve.Engine.handle_line e
+         (Printf.sprintf {|{"op":"statement","sql":%s,"delta":1e999}|}
+            (Serve.Json.to_string (Serve.Json.Str sql))))
+  in
+  Alcotest.(check bool) "rejected" true
+    (member_exn "ok" bad = Serve.Json.Bool false
+    && Serve.Json.member "error" bad <> None);
+  Alcotest.(check (float 0.0)) "events unchanged" before (events ());
+  check_all_ok (replay e (fixture_lines ()))
+
+(* --- Drifting replay at benchmark scale --- *)
+
+(* Replay.drift over n=100 templates, 300 events: a repeat of a
+   canonical key never costs an optimizer probe (keyed-store misses =
+   distinct keys).  Then three reweight steps: each warm retune lands
+   within the solver's gap tolerance of a cold solve of the same
+   instance (fresh optimizer env, store and multipliers). *)
+let test_drift_replay () =
+  let events =
+    Workload.Replay.drift ~recommend_every:50 schema ~n:100 ~events:300 ~seed:7
+  in
+  let e = Serve.Engine.create ~window:256 schema in
+  let distinct = Hashtbl.create 64 in
+  List.iter
+    (function
+      | Workload.Replay.Statement (st, d) ->
+          Hashtbl.replace distinct (Canon.statement_key st) ();
+          Serve.Engine.observe e st d
+      | Workload.Replay.Recommend -> ignore (Serve.Engine.recommend e))
+    events;
+  let session = Serve.Engine.session e in
+  Alcotest.(check int) "repeat_probes = 0" (Hashtbl.length distinct)
+    (Inum.Keyed.misses (Cophy.Interactive.store session));
+  let options =
+    {
+      Cophy.Solver.default_options with
+      Cophy.Solver.method_ = Cophy.Solver.Decomposed;
+      certify = true;
+    }
+  in
+  let budget = 0.25 *. Catalog.Tpch.database_size schema in
+  for step = 1 to 3 do
+    let w = Cophy.Interactive.workload session in
+    let victim = List.nth w (step mod List.length w) in
+    Cophy.Interactive.set_weight session
+      (Ast.statement_id victim.Ast.stmt)
+      (victim.Ast.weight *. 1.5);
+    let warm = Cophy.Interactive.retune ~options session in
+    let cold =
+      Cophy.Interactive.retune ~options
+        (Cophy.Interactive.create
+           ~candidates:(Cophy.Interactive.candidates session)
+           schema
+           (Cophy.Interactive.workload session)
+           ~budget)
+    in
+    let obj (r : Cophy.Solver.report) = r.Cophy.Solver.objective in
+    let rel = Float.abs (obj warm -. obj cold) /. Float.max 1.0 (obj cold) in
+    Alcotest.(check bool)
+      (Printf.sprintf "step %d: warm within the gap of cold (rel %.2e)" step rel)
+      true
+      (rel <= options.Cophy.Solver.gap_tolerance)
+  done
 
 let () =
   Alcotest.run "serve"
@@ -239,5 +375,17 @@ let () =
           Alcotest.test_case "protocol errors" `Quick test_handle_line_errors;
           Alcotest.test_case "deterministic under trace" `Quick
             test_engine_deterministic_under_trace;
+        ] );
+      ( "fixture",
+        [
+          Alcotest.test_case "replay: plain = traced, all ok" `Quick
+            test_fixture_replay;
+          Alcotest.test_case "non-finite delta rejected" `Quick
+            test_nonfinite_delta_rejected;
+        ] );
+      ( "drift",
+        [
+          Alcotest.test_case "n=100: no repeat probes, warm = cold" `Slow
+            test_drift_replay;
         ] );
     ]

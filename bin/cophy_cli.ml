@@ -146,8 +146,8 @@ let plain_solver_flag =
     "Disable the core-guided MIP engine on the decomposed solver path \
      (workload compression, benefit-initialized multipliers, reduced-cost \
      hardening, integer z subproblems) and run the plain subgradient loop \
-     instead.  Useful for ablation runs; the recommendation quality is the \
-     same, the solve is slower."
+     instead.  For ablation runs: the recommendation, its cost and the \
+     solve time can all differ from the default, in either direction."
   in
   Arg.(value & flag & info [ "plain-solver" ] ~doc)
 

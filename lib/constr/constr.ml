@@ -214,6 +214,20 @@ let linearize schema (candidates : Storage.Index.t array) = function
 let linearize_all schema candidates cs =
   List.concat_map (linearize schema candidates) (List.filter z_only cs)
 
+(* Append [row] to an LP, mapping candidate position [a] to variable
+   [var a]. *)
+let add_to_lp p ~var row =
+  let sense =
+    match row.row_cmp with
+    | Le -> Lp.Problem.Le
+    | Ge -> Lp.Problem.Ge
+    | Eq -> Lp.Problem.Eq
+  in
+  ignore
+    (Lp.Problem.add_row ~name:row.row_name p
+       (List.map (fun (a, c) -> (var a, c)) row.row_coeffs)
+       sense row.row_rhs)
+
 (* --- Direct evaluation on a configuration --- *)
 
 let row_holds row (z : bool array) =

@@ -89,6 +89,11 @@ val linearize : Catalog.Schema.t -> Storage.Index.t array -> t -> z_row list
 val linearize_all :
   Catalog.Schema.t -> Storage.Index.t array -> t list -> z_row list
 
+(** [add_to_lp p ~var row] appends [row] to [p] as a named row over the
+    LP variables, mapping candidate position [a] to variable [var a].
+    @raise Invalid_argument when [var] names no variable of [p]. *)
+val add_to_lp : Lp.Problem.t -> var:(int -> int) -> z_row -> unit
+
 (** Does a selection satisfy the row? *)
 val row_holds : z_row -> bool array -> bool
 

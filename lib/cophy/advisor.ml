@@ -29,7 +29,7 @@ let total_seconds r =
 let advise ?(params = Optimizer.Cost_params.default)
     ?(constraints = Constr.empty) ?candidates ?(dba_candidates = [])
     ?(solver_options = Solver.default_options)
-    ?(baseline = Storage.Config.empty) ?(jobs = 1) ?stats ?backend ?certify
+    ?(baseline = Storage.Config.empty) ?(jobs = 1) ?stats
     ?probe_budget schema (w : Sqlast.Ast.workload) ~budget_fraction =
   (* Batch advice is the one-shot form of an interactive session: create
      (INUM through the keyed store + candidate generation), build the
@@ -50,16 +50,6 @@ let advise ?(params = Optimizer.Cost_params.default)
   in
   let t2 = Runtime.Clock.now () in
   let solver_options = { solver_options with Solver.jobs } in
-  let solver_options =
-    match backend with
-    | Some b -> { solver_options with Solver.backend = b }
-    | None -> solver_options
-  in
-  let solver_options =
-    match certify with
-    | Some c -> { solver_options with Solver.certify = c }
-    | None -> solver_options
-  in
   (* The solve phase includes the probe-budget refine rounds. *)
   let report =
     Runtime.Trace.span "advisor.solve" (fun () ->

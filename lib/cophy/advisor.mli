@@ -35,14 +35,10 @@ val total_seconds : recommendation -> float
     @param jobs domains for the INUM build and solver fan-outs
       (default [1]; the recommendation is identical at every job count —
       use {!Runtime.recommended_jobs} to saturate the machine).
+      [jobs] overrides [solver_options.jobs]; the LP backend and the
+      certification debug mode are [solver_options] fields.
     @param stats caller-supplied stats sink; a fresh one is created (and
-      returned in [timings.stats]) when omitted.  [jobs], [stats] and
-      [backend] override the corresponding [solver_options] fields.
-    @param backend LP backend for every LP the solve runs (default: the
-      [solver_options] setting, itself {!Lp.Backend.default}).
-    @param certify overrides [solver_options.certify]: debug mode that
-      statically checks the BIP and certifies the solver's answer with
-      {!Lp.Analyze} (raises [Lp.Analyze.Certification_failed] on failure).
+      returned in [timings.stats]) when omitted.
     @param probe_budget per-query cap on up-front INUM probes (see
       {!Inum.build}; default unlimited).  After the first solve, a
       completion loop forces the deferred probes overlapping the
@@ -60,8 +56,6 @@ val advise :
   ?baseline:Storage.Config.t ->
   ?jobs:int ->
   ?stats:Runtime.Stats.t ->
-  ?backend:Lp.Backend.t ->
-  ?certify:bool ->
   ?probe_budget:int ->
   Catalog.Schema.t ->
   Sqlast.Ast.workload ->

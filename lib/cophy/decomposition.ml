@@ -151,109 +151,12 @@ let block_subproblem (b : Sproblem.block) (lam : float array) ~excluded =
 
 (* --- z subproblem --- *)
 
-(* min sum w_a z_a  s.t.  sizes.z <= budget, extra z rows, 0 <= z <= 1.
-   Without extra rows this is a fractional knapsack solved greedily;
-   otherwise we hand the small LP to the simplex.  Returns the solve
-   status alongside (value, z): only an [Optimal] value is a valid
-   Lagrangian bound component — an [Iter_limit] iterate is feasible
-   (so its rounding still seeds the primal side) but its objective
-   proves nothing, and the caller must not fold it into the bound. *)
-let z_subproblem ~backend ~w ~(sizes : float array) ~budget
-    ~(z_rows : Constr.z_row list) ~forced_one ~forced_zero =
-  let n = Array.length w in
-  if z_rows = [] then begin
-    let z = Array.make n 0.0 in
-    let value = ref 0.0 in
-    let cap = ref budget in
-    (* forced selections first *)
-    for a = 0 to n - 1 do
-      if forced_one.(a) then begin
-        z.(a) <- 1.0;
-        value := !value +. w.(a);
-        cap := !cap -. sizes.(a)
-      end
-    done;
-    let order =
-      List.init n Fun.id
-      |> List.filter (fun a ->
-             (not forced_one.(a)) && (not forced_zero.(a)) && w.(a) < 0.0)
-      |> List.sort (fun a b ->
-             Float.compare
-               (w.(a) /. max 1.0 sizes.(a))
-               (w.(b) /. max 1.0 sizes.(b)))
-    in
-    List.iter
-      (fun a ->
-        if !cap > 0.0 then begin
-          let frac = min 1.0 (!cap /. max 1.0 sizes.(a)) in
-          z.(a) <- frac;
-          value := !value +. (frac *. w.(a));
-          cap := !cap -. (frac *. sizes.(a))
-        end)
-      order;
-    (* the greedy fill is the analytic optimum of the fractional
-       knapsack, so its value carries a proof *)
-    (!value, z, Lp.Simplex.Optimal)
-  end
-  else begin
-    let p = Lp.Problem.create () in
-    let vars =
-      Array.init n (fun a ->
-          let lb = if forced_one.(a) then 1.0 else 0.0 in
-          let ub = if forced_zero.(a) then 0.0 else 1.0 in
-          Lp.Problem.add_var ~lb ~ub:(max lb ub) ~obj:w.(a) p)
-    in
-    if budget < infinity then
-      ignore
-        (Lp.Problem.add_row p
-           (Array.to_list (Array.mapi (fun a v -> (v, sizes.(a))) vars))
-           Lp.Problem.Le budget);
-    List.iter
-      (fun (row : Constr.z_row) ->
-        let sense =
-          match row.Constr.row_cmp with
-          | Constr.Le -> Lp.Problem.Le
-          | Constr.Ge -> Lp.Problem.Ge
-          | Constr.Eq -> Lp.Problem.Eq
-        in
-        ignore
-          (Lp.Problem.add_row p
-             (List.map (fun (a, c) -> (vars.(a), c)) row.Constr.row_coeffs)
-             sense row.Constr.row_rhs))
-      z_rows;
-    (* Presolve is disabled here: its bound tightening and row scaling
-       can land on a different optimal vertex of this (often degenerate)
-       LP, and the fractional vertex feeds the rounding heuristic.  The
-       raw kernels run the same pricing loop and agree on the optimum
-       value, but their floating-point arithmetic differs, so a
-       near-tolerance pricing tie can still resolve to a different
-       optimal vertex between backends — recommendations agree on cost,
-       not structurally on the chosen vertex. *)
-    let r =
-      Lp.Backend.solve { backend with Lp.Backend.presolve = false } p
-    in
-    match r.Lp.Simplex.status with
-    | Lp.Simplex.Optimal ->
-        ( r.Lp.Simplex.obj,
-          Array.init n (fun a -> r.Lp.Simplex.x.(vars.(a))),
-          Lp.Simplex.Optimal )
-    | Lp.Simplex.Iter_limit ->
-        (* last iterate: primal-feasible, so still a usable rounding
-           direction, but its objective is no lower bound *)
-        ( r.Lp.Simplex.obj,
-          Array.init n (fun a -> r.Lp.Simplex.x.(vars.(a))),
-          Lp.Simplex.Iter_limit )
-    | (Lp.Simplex.Infeasible | Lp.Simplex.Unbounded) as s ->
-        (* infeasible z polytope: signal with +inf bound *)
-        (infinity, Array.make n 0.0, s)
-  end
-
-(* Greedy fractional knapsack with its analytic LP dual, for the
-   core-guided path (no extra z rows).  The fill loop mirrors the greedy
-   in [z_subproblem] exactly — it must, its value is the bound — and
-   additionally returns the knapsack dual [y] (<= 0): the reduced cost
-   [w_a - y * max 1 s_a] prices moving a variable to its opposite bound,
-   which is what the hardening and the threshold probes consume.  The
+(* Greedy fractional knapsack with its analytic LP dual: the z
+   subproblem when there are no extra z rows.  Besides the fill and its
+   value (the bound), it returns the knapsack dual [y] (<= 0): the
+   reduced cost [w_a - y * max 1 s_a] prices moving a variable to its
+   opposite bound, which the core-guided hardening and threshold probes
+   consume.  The
    dual is the ratio of the first fractional item, or of the best
    unselected item when the capacity came out exactly, or 0 when the
    budget does not bind — each a valid dual by complementary
@@ -295,6 +198,65 @@ let greedy_z_with_duals ~w ~(sizes : float array) ~budget ~forced_one
     order;
   (!value, z, !y)
 
+(* min sum w_a z_a  s.t.  sizes.z <= budget, extra z rows, 0 <= z <= 1.
+   Without extra rows this is a fractional knapsack solved greedily;
+   otherwise we hand the small LP to the simplex.  Returns the solve
+   status alongside (value, z): only an [Optimal] value is a valid
+   Lagrangian bound component — an [Iter_limit] iterate is feasible
+   (so its rounding still seeds the primal side) but its objective
+   proves nothing, and the caller must not fold it into the bound. *)
+let z_subproblem ~backend ~w ~(sizes : float array) ~budget
+    ~(z_rows : Constr.z_row list) ~forced_one ~forced_zero =
+  let n = Array.length w in
+  if z_rows = [] then begin
+    let value, z, _y =
+      greedy_z_with_duals ~w ~sizes ~budget ~forced_one ~forced_zero
+    in
+    (* the greedy fill is the analytic optimum of the fractional
+       knapsack, so its value carries a proof *)
+    (value, z, Lp.Simplex.Optimal)
+  end
+  else begin
+    let p = Lp.Problem.create () in
+    let vars =
+      Array.init n (fun a ->
+          let lb = if forced_one.(a) then 1.0 else 0.0 in
+          let ub = if forced_zero.(a) then 0.0 else 1.0 in
+          Lp.Problem.add_var ~lb ~ub:(max lb ub) ~obj:w.(a) p)
+    in
+    if budget < infinity then
+      ignore
+        (Lp.Problem.add_row p
+           (Array.to_list (Array.mapi (fun a v -> (v, sizes.(a))) vars))
+           Lp.Problem.Le budget);
+    List.iter (Constr.add_to_lp p ~var:(Array.get vars)) z_rows;
+    (* Presolve is disabled here: its bound tightening and row scaling
+       can land on a different optimal vertex of this (often degenerate)
+       LP, and the fractional vertex feeds the rounding heuristic.  The
+       raw kernels run the same pricing loop and agree on the optimum
+       value, but their floating-point arithmetic differs, so a
+       near-tolerance pricing tie can still resolve to a different
+       optimal vertex between backends — recommendations agree on cost,
+       not structurally on the chosen vertex. *)
+    let r =
+      Lp.Backend.solve { backend with Lp.Backend.presolve = false } p
+    in
+    match r.Lp.Simplex.status with
+    | Lp.Simplex.Optimal ->
+        ( r.Lp.Simplex.obj,
+          Array.init n (fun a -> r.Lp.Simplex.x.(vars.(a))),
+          Lp.Simplex.Optimal )
+    | Lp.Simplex.Iter_limit ->
+        (* last iterate: primal-feasible, so still a usable rounding
+           direction, but its objective is no lower bound *)
+        ( r.Lp.Simplex.obj,
+          Array.init n (fun a -> r.Lp.Simplex.x.(vars.(a))),
+          Lp.Simplex.Iter_limit )
+    | (Lp.Simplex.Infeasible | Lp.Simplex.Unbounded) as s ->
+        (* infeasible z polytope: signal with +inf bound *)
+        (infinity, Array.make n 0.0, s)
+  end
+
 (* Integer z subproblem: the same knapsack (plus any z rows), solved as
    a small BIP by the branch-and-bound engine.  Its proven bound is a
    valid — and strictly tighter than the LP's — Lagrangian component,
@@ -322,19 +284,7 @@ let[@bound.certifier bound
       (Lp.Problem.add_row p
          (Array.to_list (Array.mapi (fun a v -> (v, sizes.(a))) vars))
          Lp.Problem.Le budget);
-  List.iter
-    (fun (row : Constr.z_row) ->
-      let sense =
-        match row.Constr.row_cmp with
-        | Constr.Le -> Lp.Problem.Le
-        | Constr.Ge -> Lp.Problem.Ge
-        | Constr.Eq -> Lp.Problem.Eq
-      in
-      ignore
-        (Lp.Problem.add_row p
-           (List.map (fun (a, c) -> (vars.(a), c)) row.Constr.row_coeffs)
-           sense row.Constr.row_rhs))
-    z_rows;
+  List.iter (Constr.add_to_lp p ~var:(Array.get vars)) z_rows;
   let options =
     {
       Lp.Branch_bound.default_options with

@@ -40,7 +40,7 @@ type options = {
   warm_z : Storage.Index.t list option;
   jobs : int;                (* domains for the decomposition fan-outs *)
   stats : Runtime.Stats.t option;
-  backend : Lp.Backend.t;    (* LP backend for every LP this solve runs *)
+  backend : Lp.Backend.t;    (* feasibility probe and z subproblem LPs *)
   (* Debug mode: statically check the materialized BIP before solving,
      certify branch-and-bound incumbents, and certify the final selection
      against the hard constraints.  Raises
@@ -103,19 +103,7 @@ let z_polytope (sp : Sproblem.t) ~budget ~z_rows =
       (Lp.Problem.add_row ~name:"storage" p
          (Array.to_list (Array.mapi (fun a v -> (v, sp.Sproblem.sizes.(a))) vars))
          Lp.Problem.Le budget);
-  List.iter
-    (fun (row : Constr.z_row) ->
-      let sense =
-        match row.Constr.row_cmp with
-        | Constr.Le -> Lp.Problem.Le
-        | Constr.Ge -> Lp.Problem.Ge
-        | Constr.Eq -> Lp.Problem.Eq
-      in
-      ignore
-        (Lp.Problem.add_row ~name:row.Constr.row_name p
-           (List.map (fun (a, c) -> (vars.(a), c)) row.Constr.row_coeffs)
-           sense row.Constr.row_rhs))
-    z_rows;
+  List.iter (Constr.add_to_lp p ~var:(Array.get vars)) z_rows;
   (p, vars)
 
 (* Feasibility of the z-only polytope (mandatory/forbidden/budget/...). *)
@@ -132,16 +120,7 @@ let check_feasibility ?(backend = Lp.Backend.default) (sp : Sproblem.t) ~budget
           (fun (row : Constr.z_row) ->
             let p1 = Lp.Problem.create () in
             let vars1 = Array.init n (fun _ -> Lp.Problem.add_var ~ub:1.0 p1) in
-            let sense =
-              match row.Constr.row_cmp with
-              | Constr.Le -> Lp.Problem.Le
-              | Constr.Ge -> Lp.Problem.Ge
-              | Constr.Eq -> Lp.Problem.Eq
-            in
-            ignore
-              (Lp.Problem.add_row p1
-                 (List.map (fun (a, c) -> (vars1.(a), c)) row.Constr.row_coeffs)
-                 sense row.Constr.row_rhs);
+            Constr.add_to_lp p1 ~var:(Array.get vars1) row;
             match (Lp.Backend.solve backend p1).Lp.Simplex.status with
             | Lp.Simplex.Infeasible -> Some row.Constr.row_name
             | _ -> None)
@@ -202,7 +181,6 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
              integral the per-block LP is a pure minimum with an integral
              optimum (Theorem 1's structure) *)
           decision_vars = Some (Array.to_list vars.Sproblem.z_var);
-          backend = options.backend;
           certify_incumbents = options.certify;
           jobs = options.jobs;
           on_event =

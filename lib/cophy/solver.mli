@@ -37,9 +37,10 @@ type options = {
   stats : Runtime.Stats.t option;
       (** when set, the solve accumulates its counters into it *)
   backend : Lp.Backend.t;
-      (** LP backend used for every LP this solve runs: the feasibility
-          probe, branch-and-bound relaxations on the exact path, and the
-          decomposition's z subproblem (default {!Lp.Backend.default}) *)
+      (** LP backend for the single LPs this solve runs: the feasibility
+          probe and the decomposition's z subproblem (default
+          {!Lp.Backend.default}).  Branch-and-bound node LPs always run
+          the sparse session kernel. *)
   certify : bool;
       (** Debug mode (default [false]).  On the exact path: run
           {!Lp.Analyze.check} on the materialized BIP before solving (any

@@ -1,22 +1,8 @@
 type kind = Sparse | Dense
 
-type stats = {
-  kernel : Simplex.kernel_stats;
-  presolve : Presolve.stats;
-  mutable lp_solves : int;
-}
+type t = { kind : kind; presolve : bool }
 
-let create_stats () =
-  {
-    kernel = Simplex.create_stats ();
-    presolve = Presolve.create_stats ();
-    lp_solves = 0;
-  }
-
-type t = { kind : kind; presolve : bool; stats : stats option }
-
-let create ?(kind = Sparse) ?(presolve = true) ?stats () =
-  { kind; presolve; stats }
+let create ?(kind = Sparse) ?(presolve = true) () = { kind; presolve }
 
 let default = create ()
 let dense_reference = create ~kind:Dense ~presolve:false ()
@@ -32,18 +18,11 @@ let basis_of_kind = function
   | Sparse -> Simplex.Sparse
   | Dense -> Simplex.Dense
 
-let kernel_stats t = Option.map (fun s -> s.kernel) t.stats
-
 let solve ?max_iters t (p : Problem.t) =
-  Option.iter (fun s -> s.lp_solves <- s.lp_solves + 1) t.stats;
   let basis = basis_of_kind t.kind in
-  let run_direct () =
-    Simplex.solve ?max_iters ~basis ?stats:(kernel_stats t) p
-  in
-  if not t.presolve then run_direct ()
+  if not t.presolve then Simplex.solve ?max_iters ~basis p
   else
-    let pstats = Option.map (fun (s : stats) -> s.presolve) t.stats in
-    match Presolve.run ?stats:pstats p with
+    match Presolve.run p with
     | Presolve.Proved_infeasible _ ->
         {
           Simplex.status = Simplex.Infeasible;
@@ -53,9 +32,7 @@ let solve ?max_iters t (p : Problem.t) =
           iterations = 0;
         }
     | Presolve.Feasible map ->
-        let r =
-          Simplex.solve ?max_iters ~basis ?stats:(kernel_stats t) map.reduced
-        in
+        let r = Simplex.solve ?max_iters ~basis map.reduced in
         (* Lift the kernel's iterate back to the original space for every
            status: restore is status-agnostic, and a non-Optimal result
            (notably Iter_limit) must carry the real partial solution and

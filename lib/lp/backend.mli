@@ -1,35 +1,24 @@
 (** The LP-backend seam: one dispatch point for every component that
-    needs an LP solved ({!Branch_bound} nodes, the CoPhy solver's
-    feasibility probe, the decomposition's z subproblem, the CLI
-    front-ends).
+    needs a single LP solved (the CoPhy solver's feasibility probe, the
+    decomposition's z subproblem, the CLI front-ends).  Branch-and-bound
+    node LPs do not go through it: they always run the sparse
+    {!Simplex.session} kernel.
 
     A backend is a kernel choice ({!Sparse} — Markowitz LU + eta
     updates — or the historical {!Dense} reference) plus a presolve
-    switch and an optional stats sink.  [default] is the production
-    configuration (sparse kernel, presolve on); [dense_reference] is the
-    PR-1-era path kept for A/B comparison and regression hunting. *)
+    switch.  [default] is the production configuration (sparse kernel,
+    presolve on); [dense_reference] is the historical path kept for A/B
+    comparison and regression hunting. *)
 
 type kind = Sparse | Dense
 
-type stats = {
-  kernel : Simplex.kernel_stats;  (** pivots, refactorizations *)
-  presolve : Presolve.stats;  (** row/var/bound reductions *)
-  mutable lp_solves : int;
-}
-
-val create_stats : unit -> stats
-
-type t = {
-  kind : kind;
-  presolve : bool;
-  stats : stats option;
-}
+type t = { kind : kind; presolve : bool }
 
 val default : t  (** sparse kernel, presolve on *)
 
 val dense_reference : t  (** dense kernel, presolve off *)
 
-val create : ?kind:kind -> ?presolve:bool -> ?stats:stats -> unit -> t
+val create : ?kind:kind -> ?presolve:bool -> unit -> t
 
 val kind_of_string : string -> kind option
 val kind_to_string : kind -> string

@@ -13,9 +13,9 @@
    a handful of pivots instead of a full two-phase solve.
 
    Parallelism is bulk-synchronous through {!Runtime.Search}: each round
-   pops up to [batch] best nodes, evaluates their LPs concurrently (node
-   [i] of a round always runs on session [i]), and merges sequentially
-   in pop order.  Pop order, slot assignment and merge order are all
+   pops up to [Runtime.Search.batch] best nodes, evaluates their LPs
+   concurrently (node [i] of a round always runs on session [i]), and
+   merges sequentially in pop order.  Pop order, slot assignment and merge order are all
    independent of the job count, so the search trajectory — incumbent,
    bound, and node counts — is bit-identical at any [jobs].  The
    incumbent objective lives in an [Atomic] cell: written only during
@@ -28,27 +28,6 @@ type event = {
   bound : float;             (* proven lower bound *)
   nodes : int;
 }
-
-(* Pluggable search strategy: how the node pool is ordered and how the
-   branching variable is picked.  Both orders run through the same
-   deterministic round engine. *)
-module Search = struct
-  type node_order =
-    | Best_bound   (* lowest parent LP bound first (proves bounds fast) *)
-    | Depth_first  (* deepest, most recent first (finds incumbents fast) *)
-
-  type branching =
-    | Most_fractional  (* max distance to the nearest integer *)
-    | Cost_weighted    (* fractionality scaled by 1 + |objective coeff| *)
-
-  type t = {
-    node_order : node_order;
-    branching : branching;
-    batch : int;  (* nodes popped per bulk-synchronous round *)
-  }
-
-  let default = { node_order = Best_bound; branching = Most_fractional; batch = 8 }
-end
 
 type options = {
   gap_tolerance : float;     (* stop when (inc - bound)/|inc| <= this *)
@@ -64,10 +43,6 @@ type options = {
      equal objective — which holds for selection-style programs like the
      CoPhy and ILP BIPs, where the y/x part is a per-block minimum. *)
   decision_vars : int list option;
-  (* Stats sink: kernel counters of every session are merged here after
-     the solve (the node LPs themselves always run the sparse session
-     kernel; presolve would break basis identity across nodes). *)
-  backend : Backend.t;
   (* Debug mode: certify every candidate incumbent with [Analyze.certify]
      before accepting it; raise [Analyze.Certification_failed] if one
      violates rows, bounds, or integrality of the branched variables. *)
@@ -75,7 +50,6 @@ type options = {
   jobs : int;                (* concurrent node evaluations per round *)
   cuts : bool;               (* separate cover cuts at the root *)
   warm_start : bool;         (* dual-simplex re-solves from parent bases *)
-  search : Search.t;
 }
 
 let default_options =
@@ -87,12 +61,10 @@ let default_options =
     initial_incumbent = None;
     log_events = false;
     decision_vars = None;
-    backend = Backend.default;
     certify_incumbents = false;
     jobs = 1;
     cuts = true;
     warm_start = true;
-    search = Search.default;
   }
 
 type status = Optimal | Feasible | Infeasible | Unbounded | Limit
@@ -104,31 +76,23 @@ type result = {
   bound : float;             (* proven lower bound (with offset) *)
   nodes : int;
   cuts_added : int;          (* cover cuts installed at the root *)
-  warm_resolves : int;       (* node LPs re-solved from a parent basis *)
   cuts_uncertified : int;    (* added cuts violated by the incumbent (0!) *)
   events : event list;       (* reverse-chronological feedback trace *)
 }
 
 let int_tol = 1e-6
 
-(* Branching variable of the relaxation solution under the chosen rule;
-   [None] when every integer variable is integral. *)
-let branch_var (p : Problem.t) branching int_vars x =
+(* Most-fractional branching variable of the relaxation solution (max
+   distance to the nearest integer); [None] when every integer variable
+   is integral. *)
+let branch_var int_vars x =
   let best = ref (-1) and best_score = ref 0.0 in
   List.iter
     (fun v ->
       let f = abs_float (x.(v) -. Float.round x.(v)) in
-      if f > int_tol then begin
-        let score =
-          match branching with
-          | Search.Most_fractional -> f
-          | Search.Cost_weighted ->
-              f *. (1.0 +. abs_float (Problem.var p v).Problem.obj)
-        in
-        if score > !best_score then begin
-          best := v;
-          best_score := score
-        end
+      if f > !best_score && f > int_tol then begin
+        best := v;
+        best_score := f
       end)
     int_vars;
   if !best >= 0 then Some !best else None
@@ -155,7 +119,6 @@ let tr_nodes = Runtime.Trace.counter "bb.nodes"
 let tr_incumbents = Runtime.Trace.counter "bb.incumbents"
 let tr_prunes = Runtime.Trace.counter "bb.prunes"
 let tr_cuts_added = Runtime.Trace.counter "bb.cuts_added"
-let tr_warm_resolves = Runtime.Trace.counter "bb.warm_resolves"
 let tr_cuts_uncertified = Runtime.Trace.counter "bb.cuts_uncertified"
 
 let rounding_heuristic p int_vars x =
@@ -163,22 +126,15 @@ let rounding_heuristic p int_vars x =
   List.iter (fun v -> x'.(v) <- Float.round x.(v)) int_vars;
   if Problem.feasible p x' then Some x' else None
 
-let node_compare order (a : node) (b : node) =
-  match order with
-  | Search.Best_bound -> (
-      match Float.compare a.nb b.nb with
-      | 0 -> (
-          match Int.compare b.depth a.depth with
-          | 0 -> Int.compare a.seq b.seq
-          | c -> c)
-      | c -> c)
-  | Search.Depth_first -> (
+(* Best-bound order: lowest parent LP bound first, then deepest, then
+   oldest. *)
+let node_compare (a : node) (b : node) =
+  match Float.compare a.nb b.nb with
+  | 0 -> (
       match Int.compare b.depth a.depth with
-      | 0 -> (
-          match Int.compare b.seq a.seq with
-          | 0 -> Float.compare a.nb b.nb
-          | c -> c)
+      | 0 -> Int.compare a.seq b.seq
       | c -> c)
+  | c -> c
 
 let solve ?(options = default_options) (p : Problem.t) =
   (* Root cover cuts are installed as rows: work on a private copy so
@@ -194,25 +150,11 @@ let solve ?(options = default_options) (p : Problem.t) =
   in
   let restricted = options.decision_vars <> None in
   let offset = Problem.obj_offset p in
-  let batch = max 1 options.search.Search.batch in
   let jobs = max 1 options.jobs in
   (* One simplex session per evaluation slot, all bound to the shared
-     problem; per-slot kernel stats are merged after the run so the
-     counters are deterministic too. *)
-  let slot_stats = Array.init batch (fun _ -> Simplex.create_stats ()) in
+     problem. *)
   let sessions =
-    Array.init batch (fun i -> Simplex.new_session ~stats:slot_stats.(i) p)
-  in
-  let merged = Simplex.create_stats () in
-  let lp_solves = ref 0 in
-  let finish_stats () =
-    Array.iter (fun s -> Simplex.add_stats ~into:merged s) slot_stats;
-    (match options.backend.Backend.stats with
-    | Some bs ->
-        Simplex.add_stats ~into:bs.Backend.kernel merged;
-        bs.Backend.lp_solves <- bs.Backend.lp_solves + !lp_solves
-    | None -> ());
-    Runtime.Trace.add tr_warm_resolves merged.Simplex.warm_resolves
+    Array.init Runtime.Search.batch (fun _ -> Simplex.new_session p)
   in
   let incumbent = ref None in
   (* Objective of the incumbent, without offset.  Written only in the
@@ -272,7 +214,6 @@ let solve ?(options = default_options) (p : Problem.t) =
     && inc -. !global_bound <= options.gap_tolerance *. (abs_float inc +. 1e-9)
   in
   let mk_result status cuts_uncertified cuts_added =
-    finish_stats ();
     let best_x = !incumbent in
     let inc = Atomic.get incumbent_obj in
     {
@@ -296,14 +237,12 @@ let solve ?(options = default_options) (p : Problem.t) =
              gap from it"]);
       nodes = !nodes;
       cuts_added;
-      warm_resolves = merged.Simplex.warm_resolves;
       cuts_uncertified;
       events = !events;
     }
   in
   (* --- Root relaxation + cover-cut loop (sequential) --- *)
   let root = Simplex.session_solve sessions.(0) in
-  incr lp_solves;
   match root.Simplex.status with
   | Simplex.Infeasible ->
       global_bound := infinity;
@@ -349,7 +288,6 @@ let solve ?(options = default_options) (p : Problem.t) =
                     Runtime.Trace.incr tr_cuts_added)
                   violated;
                 let r = Simplex.session_solve sessions.(0) in
-                incr lp_solves;
                 if r.Simplex.status = Simplex.Optimal then begin
                   root_bound :=
                     (r.Simplex.obj
@@ -362,7 +300,7 @@ let solve ?(options = default_options) (p : Problem.t) =
           done);
       global_bound := !root_bound;
       (* Root incumbents: integral decision variables, else rounding. *)
-      (match branch_var p options.search.Search.branching int_vars !root_x with
+      (match branch_var int_vars !root_x with
       | None ->
           if root_solved || Problem.feasible p !root_x then
             ignore (try_incumbent !root_x (if root_solved then !root_bound
@@ -382,7 +320,7 @@ let solve ?(options = default_options) (p : Problem.t) =
             bad
         | _ -> 0
       in
-      (match branch_var p options.search.Search.branching int_vars !root_x with
+      (match branch_var int_vars !root_x with
       | None ->
           (* Root already integral on the branched variables. *)
           global_bound := Atomic.get incumbent_obj;
@@ -496,10 +434,9 @@ let solve ?(options = default_options) (p : Problem.t) =
               (* The optimum is the smaller of the incumbent and the
                  open-pool minimum, so the bound never passes the
                  incumbent. *)
-              (if options.search.Search.node_order = Search.Best_bound then
-                 global_bound :=
-                   Float.max !global_bound
-                     (Float.min node.nb (Atomic.get incumbent_obj)));
+              global_bound :=
+                Float.max !global_bound
+                  (Float.min node.nb (Atomic.get incumbent_obj));
               round_fresh := false
             end;
             match out with
@@ -508,7 +445,6 @@ let solve ?(options = default_options) (p : Problem.t) =
                 []
             | Solved (r, snap) -> (
                 incr nodes;
-                incr lp_solves;
                 Runtime.Trace.incr tr_nodes;
                 if !nodes mod 16 = 0 then emit ();
                 match r.Simplex.status with
@@ -536,10 +472,7 @@ let solve ?(options = default_options) (p : Problem.t) =
                       []
                     end
                     else (
-                      match
-                        branch_var p options.search.Search.branching int_vars
-                          r.Simplex.x
-                      with
+                      match branch_var int_vars r.Simplex.x with
                       | None ->
                           if
                             (solved || Problem.feasible p r.Simplex.x)
@@ -557,11 +490,8 @@ let solve ?(options = default_options) (p : Problem.t) =
                              | None -> ());
                           children { node with nb } v r.Simplex.x.(v) snap))
           in
-          let _search_stats =
-            Runtime.Search.run ~jobs ~batch
-              ~compare:(node_compare options.search.Search.node_order)
-              ~roots ~eval ~expand ~stop ()
-          in
+          Runtime.Search.run ~jobs ~compare:node_compare ~roots ~eval ~expand
+            ~stop ();
           let status =
             match !stop_status with
             | Some s -> s

@@ -10,7 +10,9 @@
     re-solves restore the parent's basis snapshot and repair primal
     feasibility with the dual simplex; cover cuts from the
     storage-budget knapsack rows tighten the root.  The search runs in
-    deterministic bulk-synchronous rounds over {!Runtime.Search}: the
+    deterministic bulk-synchronous rounds over {!Runtime.Search}, each
+    popping up to eight nodes in best-bound order (lowest parent LP
+    bound first) and branching on the most fractional variable: the
     trajectory, incumbent, bound, and node counts are bit-identical at
     every [jobs] value.  A continuous (time, incumbent, bound) feedback
     stream supports CoPhy's early termination. *)
@@ -21,29 +23,6 @@ type event = {
   bound : float;  (** proven lower bound *)
   nodes : int;
 }
-
-(** Pluggable search strategy. *)
-module Search : sig
-  type node_order =
-    | Best_bound  (** lowest parent LP bound first (proves bounds fast;
-                      the proven bound advances every round) *)
-    | Depth_first  (** deepest, most recent first (finds incumbents
-                       fast; the proven bound stays at the root's until
-                       the pool empties) *)
-
-  type branching =
-    | Most_fractional  (** max distance to the nearest integer *)
-    | Cost_weighted  (** fractionality scaled by [1 + |objective coeff|] *)
-
-  type t = {
-    node_order : node_order;
-    branching : branching;
-    batch : int;  (** nodes popped per bulk-synchronous round *)
-  }
-
-  val default : t
-  (** Best-bound order, most-fractional branching, batch 8. *)
-end
 
 type options = {
   gap_tolerance : float;  (** stop when (inc - bound)/|inc| <= this *)
@@ -57,12 +36,6 @@ type options = {
           incumbent once they are integral.  Sound when fixing them makes
           the remaining LP have an integral optimum of equal objective —
           the structure of the CoPhy and ILP BIPs. *)
-  backend : Backend.t;
-      (** Stats sink: session kernel counters are merged into
-          [backend.stats] after the solve.  Node LPs always run the
-          sparse session kernel (presolve would break basis identity
-          across nodes), so the backend's kind/presolve switches do not
-          affect the tree. *)
   certify_incumbents : bool;
       (** Debug mode: run {!Analyze.certify} on every candidate incumbent
           (rows, bounds, integrality of the branched variables, objective
@@ -71,11 +44,10 @@ type options = {
   jobs : int;  (** concurrent node evaluations per round *)
   cuts : bool;  (** separate lifted cover cuts at the root *)
   warm_start : bool;  (** dual-simplex re-solves from parent bases *)
-  search : Search.t;
 }
 
 val default_options : options
-(** jobs 1, cuts and warm starts on, {!Search.default} strategy. *)
+(** jobs 1, cuts and warm starts on. *)
 
 type status = Optimal | Feasible | Infeasible | Unbounded | Limit
 
@@ -89,7 +61,6 @@ type result = {
           reaches [obj]. *)
   nodes : int;
   cuts_added : int;  (** cover cuts installed at the root *)
-  warm_resolves : int;  (** node LPs re-solved from a parent basis *)
   cuts_uncertified : int;
       (** added cuts violated by the final incumbent — always 0 unless a
           separation bug produced an invalid cut *)

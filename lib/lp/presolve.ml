@@ -8,13 +8,10 @@
 
 module Fx = Runtime.Fx
 
-type stats = {
-  mutable rows_removed : int;
-  mutable vars_removed : int;
-  mutable bounds_tightened : int;
-}
-
-let create_stats () = { rows_removed = 0; vars_removed = 0; bounds_tightened = 0 }
+(* Trace probes: single [Atomic.get] each when tracing is off. *)
+let tr_rows_removed = Runtime.Trace.counter "presolve.rows_removed"
+let tr_vars_removed = Runtime.Trace.counter "presolve.vars_removed"
+let tr_bounds_tightened = Runtime.Trace.counter "presolve.bounds_tightened"
 
 type mapping = {
   reduced : Problem.t;
@@ -37,8 +34,7 @@ exception Infeas of string
 let scale_hi = 1e4
 let scale_lo = 1e-4
 
-let run ?(integral = true) ?stats (p : Problem.t) =
-  let st = match stats with Some s -> s | None -> create_stats () in
+let run ?(integral = true) (p : Problem.t) =
   let n = Problem.nvars p in
   let m = Problem.nrows p in
   let rows = Problem.rows p in
@@ -55,7 +51,7 @@ let run ?(integral = true) ?stats (p : Problem.t) =
   let tightened = ref 0 in
   let drop ri =
     live.(ri) <- false;
-    st.rows_removed <- st.rows_removed + 1
+    Runtime.Trace.incr tr_rows_removed
   in
   let set_ub v b =
     let b = if is_int v then floor (b +. 1e-6) else b in
@@ -203,7 +199,7 @@ let run ?(integral = true) ?stats (p : Problem.t) =
          incr rounds;
          tightened := 0;
          Array.iteri (fun ri r -> if live.(ri) then process_row ri r) rows;
-         st.bounds_tightened <- st.bounds_tightened + !tightened;
+         Runtime.Trace.add tr_bounds_tightened !tightened;
          continue_ := !tightened > 0
        done;
        (* --- duplicate rows: normalize by the largest coefficient, with
@@ -280,7 +276,7 @@ let run ?(integral = true) ?stats (p : Problem.t) =
           let value = fixed_value v in
           entries.(v) <- Fixed value;
           offset := !offset +. ((Problem.var p v).Problem.obj *. value);
-          st.vars_removed <- st.vars_removed + 1
+          Runtime.Trace.incr tr_vars_removed
         end
         else begin
           let vr = Problem.var p v in
@@ -323,7 +319,7 @@ let run ?(integral = true) ?stats (p : Problem.t) =
             else
               (* became empty through fixing after the last round;
                  feasibility was checked while tightening *)
-              st.rows_removed <- st.rows_removed + 1
+              Runtime.Trace.incr tr_rows_removed
           end)
         rows;
       Feasible

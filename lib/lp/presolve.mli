@@ -23,14 +23,6 @@
     preserves the set of integer-feasible solutions (not necessarily the
     LP relaxation's optimum), which is what branch-and-bound needs. *)
 
-type stats = {
-  mutable rows_removed : int;
-  mutable vars_removed : int;  (** variables fixed and substituted out *)
-  mutable bounds_tightened : int;
-}
-
-val create_stats : unit -> stats
-
 type mapping = {
   reduced : Problem.t;
   entries : entry array;  (** original variable -> fate *)
@@ -45,7 +37,10 @@ type outcome =
   | Feasible of mapping
   | Proved_infeasible of string  (** human-readable reason *)
 
-val run : ?integral:bool -> ?stats:stats -> Problem.t -> outcome
+(** Reductions tick the [presolve.rows_removed], [presolve.vars_removed]
+    (variables fixed and substituted out) and [presolve.bounds_tightened]
+    trace counters when tracing is on. *)
+val run : ?integral:bool -> Problem.t -> outcome
 
 (** Lift a reduced-space solution back to the original variables. *)
 val restore_x : mapping -> float array -> float array

@@ -550,50 +550,6 @@ module Trace = struct
     Buffer.contents b
 end
 
-(* --- Request batching --- *)
-
-(* A deferred fan-out queue over the domain pool.  Producers [add]
-   independent requests as thunks; [flush] runs everything pending in one
-   [parallel_map] fan-out and returns the results in submission order.
-   The win over calling [parallel_map] at every request is amortization:
-   a stream of small requests (the serve daemon's per-event INUM builds,
-   multi-configuration what-if probes) pays one fan-out per drain instead
-   of one per request, and single-item drains never touch the pool.
-
-   Batches are owned by their creator and are not safe for concurrent
-   [add]/[flush] from multiple domains; the thunks themselves run on pool
-   workers and must be independent, exactly as for [parallel_map]. *)
-module Batch = struct
-  type 'a t = {
-    jobs : int;
-    mutable pending : (unit -> 'a) list;  (* reverse submission order *)
-    mutable npending : int;
-  }
-
-  let tr_items = Trace.counter "runtime.batch_items"
-  let tr_flushes = Trace.counter "runtime.batch_flushes"
-
-  let create ?(jobs = 1) () = { jobs = max 1 jobs; pending = []; npending = 0 }
-
-  let add b thunk =
-    b.pending <- thunk :: b.pending;
-    b.npending <- b.npending + 1
-
-  let length b = b.npending
-
-  let flush b =
-    match b.pending with
-    | [] -> []
-    | pending ->
-        let thunks = Array.of_list (List.rev pending) in
-        b.pending <- [];
-        b.npending <- 0;
-        Trace.add tr_items (Array.length thunks);
-        Trace.incr tr_flushes;
-        parallel_map ~jobs:b.jobs (fun thunk -> thunk ()) thunks
-        |> Array.to_list
-end
-
 module Search = struct
   (* Deterministic bulk-synchronous best-first search.
 
@@ -610,22 +566,17 @@ module Search = struct
      during [expand] (sequential); [eval] may read it freely — between
      two merges its value is deterministic. *)
 
-  type stats = {
-    mutable rounds : int;
-    mutable expanded : int;  (* nodes evaluated and merged *)
-    mutable peak_open : int;  (* high-water mark of the open queue *)
-  }
-
   let tr_rounds = Trace.counter "search.rounds"
   let tr_expanded = Trace.counter "search.expanded"
 
+  let batch = 8
+
   type 'n heap = Empty | Node of 'n * 'n heap list
 
-  let run (type n r) ?(jobs = 1) ?(batch = 8) ~(compare : n -> n -> int)
+  let run (type n r) ?(jobs = 1) ~(compare : n -> n -> int)
       ~(roots : n list) ~(eval : slot:int -> n -> r)
       ~(expand : n -> r -> n list) ~(stop : unit -> bool) () =
     let jobs = max 1 jobs in
-    let batch = max 1 batch in
     let merge a b =
       match (a, b) with
       | Empty, x | x, Empty -> x
@@ -638,27 +589,19 @@ module Search = struct
       | a :: b :: rest -> merge (merge a b) (merge_pairs rest)
     in
     let heap = ref Empty in
-    let open_count = ref 0 in
-    let push n =
-      heap := merge (Node (n, [])) !heap;
-      incr open_count
-    in
+    let push n = heap := merge (Node (n, [])) !heap in
     let pop () =
       match !heap with
       | Empty -> None
       | Node (n, children) ->
           heap := merge_pairs children;
-          decr open_count;
           Some n
     in
-    let st = { rounds = 0; expanded = 0; peak_open = 0 } in
     List.iter push roots;
-    if !open_count > st.peak_open then st.peak_open <- !open_count;
     let finished = ref false in
     while not !finished do
       if stop () || !heap = Empty then finished := true
       else begin
-        st.rounds <- st.rounds + 1;
         Trace.incr tr_rounds;
         let round = ref [] in
         let k = ref 0 in
@@ -677,12 +620,9 @@ module Search = struct
         in
         Array.iteri
           (fun i n ->
-            st.expanded <- st.expanded + 1;
             Trace.incr tr_expanded;
             List.iter push (expand n results.(i)))
-          nodes;
-        if !open_count > st.peak_open then st.peak_open <- !open_count
+          nodes
       end
-    done;
-    st
+    done
 end

@@ -192,32 +192,6 @@ module Trace : sig
       ["metrics"] key. *)
 end
 
-(** Deferred request batching over the domain pool: queue independent
-    requests as thunks, then run everything pending in one
-    {!parallel_map} fan-out.  Amortizes fan-out cost for request streams
-    (the serve daemon batches INUM builds and what-if evaluations this
-    way); a single-item flush runs on the calling domain.
-
-    A batch is single-owner state: [add]/[flush] must not race from
-    several domains.  Thunks must be independent, exactly as for
-    {!parallel_map}; results come back in submission order, and a thunk
-    that raises propagates its exception out of [flush] after the
-    drain. *)
-module Batch : sig
-  type 'a t
-
-  val create : ?jobs:int -> unit -> 'a t
-  (** [jobs] caps the flush fan-out (default [1] = sequential). *)
-
-  val add : 'a t -> (unit -> 'a) -> unit
-  val length : 'a t -> int
-  (** Requests queued since the last flush. *)
-
-  val flush : 'a t -> 'a list
-  (** Run all pending thunks (one pool fan-out) and clear the queue;
-      [[]] when nothing is pending. *)
-end
-
 (** Deterministic bulk-synchronous best-first search driver — the
     parallel node-pool engine behind {!Lp}'s branch and bound.
 
@@ -231,22 +205,20 @@ end
     included — is bit-identical at every job count.  [eval] runs
     concurrently and must not write shared state; [expand] runs
     sequentially and is where incumbents move.  [stop] is polled between
-    rounds. *)
+    rounds.  Rounds and merged nodes tick the [search.rounds] /
+    [search.expanded] trace counters. *)
 module Search : sig
-  type stats = {
-    mutable rounds : int;
-    mutable expanded : int;  (** nodes evaluated and merged *)
-    mutable peak_open : int;  (** high-water mark of the open queue *)
-  }
+  val batch : int
+  (** Nodes popped per round (8), and so the number of evaluation
+      slots. *)
 
   val run :
     ?jobs:int ->
-    ?batch:int ->
     compare:('n -> 'n -> int) ->
     roots:'n list ->
     eval:(slot:int -> 'n -> 'r) ->
     expand:('n -> 'r -> 'n list) ->
     stop:(unit -> bool) ->
     unit ->
-    stats
+    unit
 end

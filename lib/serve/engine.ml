@@ -153,15 +153,14 @@ let flush t =
       | es ->
           Runtime.Trace.add tr_flushed_new (List.length es);
           (* candidate generation for a burst of new statements, fanned
-             over the domain pool as one batch *)
-          let batch = Runtime.Batch.create ~jobs:t.jobs () in
-          List.iter
-            (fun e ->
-              Runtime.Batch.add batch (fun () ->
-                  Cophy.Cgen.generate
-                    [ { Ast.stmt = e.stmt; weight = e.weight } ]))
-            es;
-          let cands = List.concat (Runtime.Batch.flush batch) in
+             over the domain pool in one call *)
+          let cands =
+            Runtime.parallel_map ~jobs:t.jobs
+              (fun e ->
+                Cophy.Cgen.generate [ { Ast.stmt = e.stmt; weight = e.weight } ])
+              (Array.of_list es)
+            |> Array.to_list |> List.concat
+          in
           Cophy.Interactive.add_candidates t.session cands;
           Cophy.Interactive.add_statements t.session
             (List.map (fun e -> { Ast.stmt = e.stmt; weight = e.weight }) es);

@@ -626,7 +626,10 @@ let test_parallel_determinism_advisor () =
 let test_backend_determinism_advisor () =
   let w = small_workload ~n:8 ~seed:11 () in
   let run ~jobs ~backend =
-    Cophy.Advisor.advise ~jobs ~backend schema w ~budget_fraction:0.4
+    let solver_options =
+      { Cophy.Solver.default_options with Cophy.Solver.backend }
+    in
+    Cophy.Advisor.advise ~jobs ~solver_options schema w ~budget_fraction:0.4
   in
   let reference = run ~jobs:1 ~backend:Lp.Backend.dense_reference in
   List.iter
@@ -701,7 +704,10 @@ let test_trace_neutrality () =
     Runtime.Trace.reset ();
     if trace then Runtime.Trace.enable ();
     Fun.protect ~finally:Runtime.Trace.disable @@ fun () ->
-    Cophy.Advisor.advise ~jobs ~backend schema w ~budget_fraction:0.4
+    let solver_options =
+      { Cophy.Solver.default_options with Cophy.Solver.backend }
+    in
+    Cophy.Advisor.advise ~jobs ~solver_options schema w ~budget_fraction:0.4
   in
   List.iter
     (fun (jobs, backend, label) ->
@@ -738,8 +744,11 @@ let test_trace_neutrality () =
    and lazy-probing cases below. *)
 let hom100 = Workload.Gen.hom schema ~n:100 ~seed:7
 
-let advise100 ?backend ?probe_budget () =
-  Cophy.Advisor.advise ?backend ~certify:true ?probe_budget schema hom100
+let advise100 ?(backend = Lp.Backend.default) ?probe_budget () =
+  let solver_options =
+    { Cophy.Solver.default_options with Cophy.Solver.backend; certify = true }
+  in
+  Cophy.Advisor.advise ~solver_options ?probe_budget schema hom100
     ~budget_fraction:0.5
 
 let hom100_budget16 = lazy (advise100 ~probe_budget:16 ())
@@ -858,7 +867,7 @@ let test_mip_engine_n1000 () =
   let sp = hom_sproblem ~jobs:4 1000 in
   let budget = 0.5 *. db_size in
   let keys =
-    [ "bb.nodes"; "bb.warm_resolves"; "bb.cuts_uncertified"; "cuts.separated" ]
+    [ "bb.nodes"; "simplex.warm_resolves"; "bb.cuts_uncertified"; "cuts.separated" ]
   in
   let counter k =
     Option.value ~default:0 (List.assoc_opt k (Runtime.Trace.counters ()))
@@ -896,7 +905,7 @@ let test_mip_engine_n1000 () =
   List.iter
     (fun k ->
       Alcotest.(check bool) (k ^ " > 0") true (List.assoc k d1 > 0))
-    [ "bb.nodes"; "bb.warm_resolves"; "cuts.separated" ]
+    [ "bb.nodes"; "simplex.warm_resolves"; "cuts.separated" ]
 
 let () =
   Alcotest.run "cophy"

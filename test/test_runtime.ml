@@ -290,28 +290,6 @@ let test_trace_exporters () =
     "timestamps monotone, durations non-negative" true
     (mono 0.0 (Runtime.Trace.spans ()))
 
-(* --- Batch --- *)
-
-let test_batch_flush_order () =
-  let b = Runtime.Batch.create ~jobs:4 () in
-  List.iter
-    (fun i -> Runtime.Batch.add b (fun () -> i * i))
-    [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "pending count" 5 (Runtime.Batch.length b);
-  Alcotest.(check (list int)) "submission order preserved"
-    [ 1; 4; 9; 16; 25 ] (Runtime.Batch.flush b);
-  Alcotest.(check int) "drained" 0 (Runtime.Batch.length b);
-  Alcotest.(check (list int)) "empty flush" [] (Runtime.Batch.flush b)
-
-let test_batch_reusable () =
-  let b = Runtime.Batch.create ~jobs:2 () in
-  Runtime.Batch.add b (fun () -> "a");
-  Alcotest.(check (list string)) "first round" [ "a" ] (Runtime.Batch.flush b);
-  Runtime.Batch.add b (fun () -> "b");
-  Runtime.Batch.add b (fun () -> "c");
-  Alcotest.(check (list string)) "second round" [ "b"; "c" ]
-    (Runtime.Batch.flush b)
-
 let test_clock_monotonic () =
   let a = Runtime.Clock.now () in
   let b = Runtime.Clock.now () in
@@ -354,9 +332,4 @@ let () =
         ] );
       ( "clock",
         [ Alcotest.test_case "monotonic" `Quick test_clock_monotonic ] );
-      ( "batch",
-        [
-          Alcotest.test_case "flush order" `Quick test_batch_flush_order;
-          Alcotest.test_case "reusable" `Quick test_batch_reusable;
-        ] );
     ]

@@ -144,10 +144,10 @@ let make_inputs sf z shape n seed updates sql_file =
 let plain_solver_flag =
   let doc =
     "Disable the core-guided MIP engine on the decomposed solver path \
-     (workload compression, benefit-initialized multipliers, reduced-cost \
-     hardening, integer z subproblems) and run the plain subgradient loop \
-     instead.  For ablation runs: the recommendation, its cost and the \
-     solve time can all differ from the default, in either direction."
+     (benefit-initialized multipliers, reduced-cost hardening, integer z \
+     subproblems) and run the plain subgradient loop instead.  For \
+     ablation runs: the recommendation, its cost and the solve time can \
+     all differ from the default, in either direction."
   in
   Arg.(value & flag & info [ "plain-solver" ] ~doc)
 

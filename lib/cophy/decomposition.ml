@@ -459,12 +459,6 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
   let elapsed () = Runtime.Clock.now () -. t0 in
   let jobs = max 1 options.jobs in
   let core = options.core_guided in
-  (* Workload compression rides the core_guided flag so that [false]
-     reproduces the PR-6 execution profile exactly (the bench baseline).
-     Merging identical blocks preserves every selection's objective, so
-     everything downstream — block subproblems, cost evaluations, local
-     search — is unchanged except in cost. *)
-  let sp = if core then Sproblem.compress sp else sp in
   let count_sproblems k =
     match options.stats with
     | Some st -> Runtime.Stats.add_subproblem_solves st k
@@ -502,7 +496,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
             | Some tbl ->
                 Option.value ~default:0.0
                   (Hashtbl.find_opt tbl
-                     (b.Sproblem.qid, sp.Sproblem.candidates.(pos))))
+                     (b.Sproblem.qids.(0), sp.Sproblem.candidates.(pos))))
           b.Sproblem.cands_used)
       sp.Sproblem.blocks
   in
@@ -930,7 +924,7 @@ let solve ?(options = default_options) ?(accept = fun (_ : bool array) -> true)
         (fun i pos ->
           if Runtime.Fx.nonzero lam.(bi).(i) then
             Hashtbl.replace tbl
-              (b.Sproblem.qid, sp.Sproblem.candidates.(pos))
+              (b.Sproblem.qids.(0), sp.Sproblem.candidates.(pos))
               lam.(bi).(i))
         b.Sproblem.cands_used)
     sp.Sproblem.blocks;

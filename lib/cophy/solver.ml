@@ -32,7 +32,6 @@ type options = {
   time_limit : float;
   max_iters : int;           (* decomposition subgradient iterations *)
   on_feedback : feedback -> unit;
-  log_events : bool;
   warm : Decomposition.multipliers option;
   (* Prior incumbent selection by index: seeds Branch_bound's initial
      incumbent on the exact path and the decomposition's first
@@ -58,7 +57,6 @@ let default_options =
     time_limit = infinity;
     max_iters = 400;
     on_feedback = ignore;
-    log_events = true;
     warm = None;
     warm_z = None;
     jobs = 1;
@@ -74,7 +72,6 @@ type report = {
   objective : float;          (* INUM-estimated workload cost of [config] *)
   bound : float;
   gap : float;
-  events : feedback list;     (* chronological *)
   used_method : solve_method;
   multipliers : Decomposition.multipliers option;
   solve_seconds : float;
@@ -170,13 +167,11 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
                          i.Lp.Analyze.where i.Lp.Analyze.message)
                      issues)))
       end;
-      let events = ref [] in
       let bb_options =
         {
           Lp.Branch_bound.default_options with
           Lp.Branch_bound.gap_tolerance = options.gap_tolerance;
           time_limit = options.time_limit;
-          log_events = options.log_events;
           (* branch on the index-selection variables only; once z is
              integral the per-block LP is a pure minimum with an integral
              optimum (Theorem 1's structure) *)
@@ -192,7 +187,6 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
                   bound = e.Lp.Branch_bound.bound;
                 }
               in
-              if options.log_events then events := f :: !events;
               options.on_feedback f);
         }
       in
@@ -255,14 +249,12 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
         gap =
           (objective -. r.Lp.Branch_bound.bound)
           /. (abs_float objective +. 1e-9);
-        events = List.rev !events;
         used_method = Exact;
         multipliers = None;
         solve_seconds = Runtime.Clock.now () -. t0;
         probe_regret = sp.Sproblem.probe_regret;
       }
   | Decomposed ->
-      let events = ref [] in
       let d_options =
         {
           Decomposition.default_options with
@@ -271,7 +263,6 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
           time_limit = options.time_limit;
           warm = options.warm;
           warm_z = options.warm_z;
-          log_events = options.log_events;
           jobs = options.jobs;
           stats = options.stats;
           backend = options.backend;
@@ -285,7 +276,6 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
                   bound = e.Decomposition.bound;
                 }
               in
-              if options.log_events then events := f :: !events;
               options.on_feedback f);
         }
       in
@@ -323,7 +313,6 @@ let solve ?(options = default_options) ?(block_caps = []) ?accept
         gap =
           (r.Decomposition.obj -. r.Decomposition.bound)
           /. (abs_float r.Decomposition.obj +. 1e-9);
-        events = List.rev !events;
         used_method = Decomposed;
         multipliers = Some r.Decomposition.multipliers;
         solve_seconds = Runtime.Clock.now () -. t0;

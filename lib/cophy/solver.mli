@@ -25,7 +25,6 @@ type options = {
   max_iters : int;  (** decomposition subgradient iterations *)
   on_feedback : feedback -> unit;
       (** [elapsed] fields are measured on {!Runtime.Clock} *)
-  log_events : bool;
   warm : Decomposition.multipliers option;  (** warm start (re-tuning) *)
   warm_z : Storage.Index.t list option;
       (** prior incumbent selection: seeds {!Lp.Branch_bound}'s initial
@@ -62,7 +61,6 @@ type report = {
   objective : float;  (** INUM-estimated workload cost of [config] *)
   bound : float;
   gap : float;
-  events : feedback list;  (** chronological *)
   used_method : solve_method;
   multipliers : Decomposition.multipliers option;
   solve_seconds : float;

@@ -1,6 +1,7 @@
 (* The structured form of the CoPhy BIP (Theorem 1).
 
-   For each statement (block) and each INUM template we store the internal
+   For each block (the statements sharing one cost structure, weighted by
+   their summed frequencies) and each INUM template we store the internal
    cost beta and, per slot, the list of admissible (candidate, gamma)
    choices — already pruned losslessly: a candidate is dropped from a slot
    when its gamma is infinite (order-incompatible) or no better than the
@@ -20,8 +21,10 @@ type template = {
 }
 
 type block = {
-  qid : int;
-  weight : float;
+  (* member statement ids in workload order; the first keys the
+     warm-start multipliers *)
+  qids : int array;
+  weight : float;  (* summed over the members *)
   templates : template array;
   (* candidate positions appearing anywhere in this block, sorted *)
   cands_used : int array;
@@ -62,8 +65,13 @@ let variable_count t =
 
 (* --- Construction --- *)
 
-(* [prune = false] disables the lossless slot-level dominance pruning, for
-   ablation: every finite-gamma candidate is kept in every slot. *)
+(* One block per distinct cost structure: statements with equal templates
+   and candidate slots cost the same under every selection.  A body is
+   built once per INUM cache, from the cache's own normalized query, and
+   equal bodies merge into their first member (marshalled keys are
+   bit-exact: equal bodies come from equal computations).
+   [prune = false] disables the lossless slot-level dominance pruning,
+   for ablation: every finite-gamma candidate is kept in every slot. *)
 let build ?(prune = true) (env : Optimizer.Whatif.env)
     (cache : Inum.workload_cache) (candidates : Storage.Index.t array) =
   let schema = env.Optimizer.Whatif.schema in
@@ -78,57 +86,78 @@ let build ?(prune = true) (env : Optimizer.Whatif.env)
         (pos :: Option.value ~default:[] (Hashtbl.find_opt by_table tb)))
     candidates;
   let table_cands tb = Option.value ~default:[] (Hashtbl.find_opt by_table tb) in
-  let blocks =
-    List.map
-      (fun (q, weight, inum) ->
-        let tables = Inum.tables inum in
-        let used = Hashtbl.create 16 in
-        let templates =
-          List.map
-            (fun (tpl : Inum.template) ->
-              let choices =
-                List.mapi
-                  (fun ti table ->
-                    let req = tpl.Inum.slot_reqs.(ti) in
-                    let g0 =
+  let body inum =
+    let q = Inum.query inum in
+    let used = Hashtbl.create 16 in
+    let templates =
+      List.map
+        (fun (tpl : Inum.template) ->
+          let choices =
+            List.mapi
+              (fun ti table ->
+                let req = tpl.Inum.slot_reqs.(ti) in
+                let g0 =
+                  match
+                    Optimizer.Access.slot_fill_cost params schema q table None
+                      req
+                  with
+                  | Some c -> c
+                  | None -> infinity
+                in
+                let cands =
+                  List.filter_map
+                    (fun pos ->
                       match
                         Optimizer.Access.slot_fill_cost params schema q table
-                          None req
+                          (Some candidates.(pos))
+                          req
                       with
-                      | Some c -> c
-                      | None -> infinity
-                    in
-                    let cands =
-                      List.filter_map
-                        (fun pos ->
-                          match
-                            Optimizer.Access.slot_fill_cost params schema q
-                              table
-                              (Some candidates.(pos))
-                              req
-                          with
-                          | Some g when (not prune) || g < g0 -. 1e-9 ->
-                              Hashtbl.replace used pos ();
-                              Some { cand = pos; gamma = g }
-                          | _ -> None)
-                        (table_cands table)
-                    in
-                    Array.of_list ({ cand = -1; gamma = g0 } :: cands))
-                  tables
-              in
-              { beta = tpl.Inum.beta; choices = Array.of_list choices })
-            (Inum.templates inum)
-        in
-        let cands_used =
-          Runtime.Tbl.sorted_keys used |> Array.of_list
-        in
-        {
-          qid = q.Sqlast.Ast.query_id;
-          weight;
-          templates = Array.of_list templates;
-          cands_used;
-        })
-      cache.Inum.selects
+                      | Some g when (not prune) || g < g0 -. 1e-9 ->
+                          Hashtbl.replace used pos ();
+                          Some { cand = pos; gamma = g }
+                      | _ -> None)
+                    (table_cands table)
+                in
+                Array.of_list ({ cand = -1; gamma = g0 } :: cands))
+              (Inum.tables inum)
+          in
+          { beta = tpl.Inum.beta; choices = Array.of_list choices })
+        (Inum.templates inum)
+    in
+    (Array.of_list templates, Runtime.Tbl.sorted_keys used |> Array.of_list)
+  in
+  (* One cell per block, newest first: (body, weight, member ids newest
+     first).  Weights are summed in statement order. *)
+  let of_cache = Inum.Tbl.create 64 and of_body = Hashtbl.create 64 in
+  let cells = ref [] in
+  List.iter
+    (fun ((q : Sqlast.Ast.query), weight, inum) ->
+      let _, w, ids =
+        match Inum.Tbl.find_opt of_cache inum with
+        | Some cell -> cell
+        | None ->
+            let b = body inum in
+            let key = Marshal.to_string b [] in
+            let cell =
+              match Hashtbl.find_opt of_body key with
+              | Some cell -> cell
+              | None ->
+                  let cell = (b, ref 0.0, ref []) in
+                  Hashtbl.replace of_body key cell;
+                  cells := cell :: !cells;
+                  cell
+            in
+            Inum.Tbl.replace of_cache inum cell;
+            cell
+      in
+      w := !w +. weight;
+      ids := q.Sqlast.Ast.query_id :: !ids)
+    cache.Inum.selects;
+  let blocks =
+    List.rev_map
+      (fun ((templates, cands_used), w, ids) ->
+        { qids = Array.of_list (List.rev !ids); weight = !w; templates; cands_used })
+      !cells
     |> Array.of_list
   in
   let sizes = Array.map (fun ix -> Storage.Index.size_bytes schema ix) candidates in
@@ -155,41 +184,6 @@ let build ?(prune = true) (env : Optimizer.Whatif.env)
     ucost;
     fixed = !fixed;
     probe_regret = Inum.cache_regret cache;
-    blocks;
-    cand_blocks = Array.map (fun l -> Array.of_list (List.rev l)) cand_blocks;
-  }
-
-(* --- Workload compression --- *)
-
-(* Statements with identical cost structure (same templates, same
-   candidate slots) are interchangeable in the BIP: any selection costs
-   them the same, so a group contributes [sum of weights * cost].  Merge
-   each group into its first member with the summed weight.  Keys are
-   marshalled bytes — identical blocks come from identical computations,
-   so float equality is bit-exact here. *)
-let compress t =
-  let tbl = Hashtbl.create 97 in
-  let order = ref [] in
-  Array.iter
-    (fun b ->
-      let key = Marshal.to_string (b.templates, b.cands_used) [] in
-      match Hashtbl.find_opt tbl key with
-      | Some cell -> cell := { !cell with weight = !cell.weight +. b.weight }
-      | None ->
-          let cell = ref b in
-          Hashtbl.replace tbl key cell;
-          order := cell :: !order)
-    t.blocks;
-  let blocks = Array.of_list (List.rev_map (fun c -> !c) !order) in
-  let cand_blocks = Array.make (Array.length t.candidates) [] in
-  Array.iteri
-    (fun bi b ->
-      Array.iter
-        (fun pos -> cand_blocks.(pos) <- bi :: cand_blocks.(pos))
-        b.cands_used)
-    blocks;
-  {
-    t with
     blocks;
     cand_blocks = Array.map (fun l -> Array.of_list (List.rev l)) cand_blocks;
   }
@@ -351,12 +345,13 @@ let to_lp ?(budget = infinity) ?(z_rows = []) ?(block_caps = [])
          (Array.to_list (Array.mapi (fun pos zv -> (zv, t.sizes.(pos))) z_var))
          Lp.Problem.Le budget);
   List.iter (Constr.add_to_lp p ~var:(Array.get z_var)) z_rows;
-  (* per-statement cost caps: sum_k beta y + sum gamma x <= cap *)
+  (* per-statement cost caps, on the block holding the statement:
+     sum_k beta y + sum gamma x <= cap *)
   List.iter
     (fun (qid, cap) ->
       Array.iteri
         (fun bi b ->
-          if b.qid = qid then begin
+          if Array.exists (Int.equal qid) b.qids then begin
             let coeffs = ref [] in
             Array.iteri
               (fun k tpl ->

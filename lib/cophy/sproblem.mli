@@ -1,8 +1,10 @@
-(** The structured form of the CoPhy BIP (Theorem 1): per statement
-    (block), per INUM template, the internal cost beta and per-slot
-    admissible (candidate, gamma) choices — losslessly pruned (a slot
-    choice is dropped only when its gamma is infinite or no better than
-    the no-index gamma; the candidate's z variable always survives).
+(** The structured form of the CoPhy BIP (Theorem 1): per block, per
+    INUM template, the internal cost beta and per-slot admissible
+    (candidate, gamma) choices — losslessly pruned (a slot choice is
+    dropped only when its gamma is infinite or no better than the
+    no-index gamma; the candidate's z variable always survives).  A block
+    is one distinct cost structure: the statements that share it carry
+    their summed weight.
 
     Both solver paths consume this structure: {!to_lp} materializes the
     explicit BIP for simplex + branch-and-bound, while {!Decomposition}
@@ -16,9 +18,13 @@ type template = {
   choices : slot_choice array array;  (** per slot; no-index entry first *)
 }
 
+(** The statements with one cost structure (equal [templates] and
+    [cands_used]): any selection costs each of them the same. *)
 type block = {
-  qid : int;
-  weight : float;  (** f_q *)
+  qids : int array;
+      (** member statement ids, in workload order; the first keys the
+          warm-start multipliers *)
+  weight : float;  (** summed f_q of the members *)
   templates : template array;
   cands_used : int array;  (** candidate positions in this block, sorted *)
 }
@@ -43,10 +49,15 @@ val num_candidates : t -> int
 val num_blocks : t -> int
 
 (** Number of (y, x, z) variables of the materialized BIP — the paper's
-    measure of compactness (grows linearly with the input). *)
+    measure of compactness.  It grows with the number of distinct cost
+    structures, not with the number of statements. *)
 val variable_count : t -> int
 
-(** Build from an INUM workload cache and a candidate set.
+(** Build from an INUM workload cache and a candidate set, one block per
+    distinct cost structure: statements sharing an INUM cache share one
+    block body, and equal bodies merge into their first member with the
+    summed weight (summed in statement order).  Every selection's
+    objective equals the per-statement sum up to float re-association.
     [prune = false] disables the lossless slot dominance pruning
     (ablation only). *)
 val build :
@@ -55,16 +66,6 @@ val build :
   Inum.workload_cache ->
   Storage.Index.t array ->
   t
-
-(** Workload compression: statements with identical cost structure
-    (equal [templates] and [cands_used]) are interchangeable under every
-    selection, so each group collapses into its first member with the
-    summed weight.  Every selection's objective is preserved (up to float
-    re-association); merged statements' [qid]s disappear from [blocks].
-    Homogeneous workloads shrink by an order of magnitude, which is what
-    makes the decomposition's per-iteration cost independent of workload
-    repetition. *)
-val compress : t -> t
 
 (** Query-cost part of one block given a selection. *)
 val block_cost_z : block -> bool array -> float
@@ -90,7 +91,8 @@ type lp_vars = {
 (** Materialize the BIP of Theorem 1.  Linking rows are aggregated per
     (block, candidate) — valid by [sum_k y = 1] and tighter than
     per-variable links.  [budget] adds the storage row; [z_rows] the
-    constraint-language rows; [block_caps] per-statement cost caps. *)
+    constraint-language rows; [block_caps] per-statement cost caps, each
+    a [cost_cap_<id>] row on the block whose [qids] hold the id. *)
 val to_lp :
   ?budget:float ->
   ?z_rows:Constr.z_row list ->

@@ -89,6 +89,13 @@ type t = {
 }
 
 let query t = t.query
+
+(* Caches by identity; [query_id] is only the hash. *)
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+  let equal = ( == )
+  let hash t = Hashtbl.hash t.query.Ast.query_id
+end)
 let templates t = Array.to_list t.templates
 let template_count t = Array.length t.templates
 let init_calls t = t.init_calls
@@ -879,11 +886,13 @@ let cache_regret cache =
     (fun acc (_, weight, t) -> acc +. (weight *. probe_regret t))
     0.0 cache.selects
 
-(* Force every statement cache at [config] (see [refine]); statements
-   sharing a canonical key share the cache, so repeats cost nothing. *)
+(* Force every distinct statement cache at [config] (see [refine]) once,
+   in first-statement order. *)
 let refine_cache cache ~config =
+  let seen = Tbl.create 64 in
   List.fold_left
-    (fun acc (_, _, t) -> acc + refine t ~config)
+    (fun acc (_, _, t) ->
+      if Tbl.mem seen t then acc else (Tbl.add seen t (); acc + refine t ~config))
     0 cache.selects
 
 let add_statements ?jobs ?stats (store : Keyed.store) cache (w : Ast.workload) =

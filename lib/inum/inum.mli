@@ -48,6 +48,10 @@ val build : ?probe_budget:int -> Optimizer.Whatif.env -> Sqlast.Ast.query -> t
 val build_eager : Optimizer.Whatif.env -> Sqlast.Ast.query -> t
 
 val query : t -> Sqlast.Ast.query
+
+(** Hash tables keyed by cache identity: statements resolved through one
+    {!Keyed} entry share the cache value itself. *)
+module Tbl : Hashtbl.S with type key = t
 val templates : t -> template list
 val template_count : t -> int
 
@@ -191,8 +195,8 @@ val cache_pending : workload_cache -> int
     configuration. *)
 val cache_regret : workload_cache -> float
 
-(** [refine_cache cache ~config] — {!refine} every statement cache at
-    [config]; returns the total number of probes forced. *)
+(** [refine_cache cache ~config] — {!refine} each distinct statement
+    cache at [config] once; returns the total number of probes forced. *)
 val refine_cache : workload_cache -> config:Storage.Config.t -> int
 
 (** [add_statements store cache w] — [cache] extended with every statement

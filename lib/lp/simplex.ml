@@ -892,9 +892,9 @@ let[@bound.source heuristic
         s.cost.(v) <- (Problem.var p v).Problem.obj
       done;
       s.iters <- 0;
-      Runtime.Trace.incr tr_warm_resolves;
       match run_dual s ~max_iters with
       | Optimal ->
+          Runtime.Trace.incr tr_warm_resolves;
           (* primal cleanup certifies optimality (usually zero pivots) *)
           let st = run_phase s ~max_iters in
           extract s p st

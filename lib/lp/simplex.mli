@@ -72,9 +72,10 @@ val save_basis : session -> Basis.t option
     shape-stale frozen factors, numerical trouble, an iteration-limited
     dual run, or a dual-simplex infeasibility verdict (always re-proved
     cold before a search may prune on it).  Ticks the
-    [simplex.warm_resolves] / [simplex.dual_iterations] trace counters,
-    and [simplex.warm_fallbacks] when a dual run that was started falls
-    back cold (that cold run ticks [simplex.solves] a second time). *)
+    [simplex.dual_iterations] trace counter, [simplex.warm_resolves] when
+    the dual run ends optimal, and [simplex.warm_fallbacks] when a dual
+    run that was started falls back cold instead (that cold run ticks
+    [simplex.solves] a second time). *)
 val warm_solve :
   ?max_iters:int ->
   ?bounds:(int * float * float) list ->

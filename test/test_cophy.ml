@@ -119,6 +119,124 @@ let test_sproblem_slot_pruning () =
         b.Cophy.Sproblem.templates)
     sp.Cophy.Sproblem.blocks
 
+(* --- Merged blocks --- *)
+
+(* [q] spelled differently under a new id: reversed clause lists and
+   flipped join sides leave its canonical key unchanged. *)
+let respell ~id (q : Ast.query) =
+  {
+    q with
+    Ast.query_id = id;
+    tables = List.rev q.Ast.tables;
+    select = List.rev q.Ast.select;
+    predicates = List.rev q.Ast.predicates;
+    joins =
+      List.rev_map
+        (fun { Ast.left; right } -> { Ast.left = right; right = left })
+        q.Ast.joins;
+    group_by = List.rev q.Ast.group_by;
+  }
+
+(* hom n=100 plus a respelled duplicate of every SELECT, at half weight *)
+let hom100_respelled () =
+  let w = Workload.Gen.hom schema ~n:100 ~seed:7 in
+  ( w,
+    w
+    @ List.map
+        (fun (q, weight) ->
+          { Ast.stmt = Ast.Select (respell ~id:(q.Ast.query_id + 1000) q);
+            weight = 0.5 *. weight })
+        (Ast.selects w) )
+
+let body_key (b : Cophy.Sproblem.block) =
+  Marshal.to_string (b.Cophy.Sproblem.templates, b.Cophy.Sproblem.cands_used) []
+
+(* One block per distinct cost structure: every statement lands in the
+   block whose body equals the body it gets alone, no two blocks share a
+   body, the weights add up, and the objective is the per-statement
+   one. *)
+let test_sproblem_merged_blocks () =
+  let e = env () in
+  let _, w = hom100_respelled () in
+  let cache = Inum.build_workload e w in
+  let cands = Array.of_list (Cophy.Cgen.generate w) in
+  let sp = Cophy.Sproblem.build e cache cands in
+  let alone =
+    List.map
+      (fun ((q : Ast.query), _, _ as stmt) ->
+        let sp1 =
+          Cophy.Sproblem.build e { cache with Inum.selects = [ stmt ] } cands
+        in
+        (q.Ast.query_id, body_key sp1.Cophy.Sproblem.blocks.(0)))
+      cache.Inum.selects
+  in
+  let distinct = List.sort_uniq String.compare (List.map snd alone) in
+  Alcotest.(check int) "one block per distinct body" (List.length distinct)
+    (Cophy.Sproblem.num_blocks sp);
+  Alcotest.(check bool) "fewer blocks than statements" true
+    (Cophy.Sproblem.num_blocks sp < List.length alone);
+  List.iter
+    (fun (qid, key) ->
+      let holders =
+        List.filter
+          (fun (b : Cophy.Sproblem.block) ->
+            Array.exists (Int.equal qid) b.Cophy.Sproblem.qids)
+          (Array.to_list sp.Cophy.Sproblem.blocks)
+      in
+      match holders with
+      | [ b ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "statement %d: its own body" qid)
+            true
+            (String.equal key (body_key b))
+      | _ -> Alcotest.failf "statement %d is in %d blocks" qid (List.length holders))
+    alone;
+  let total = List.fold_left (fun acc (_, wt, _) -> acc +. wt) 0.0 cache.Inum.selects in
+  let merged =
+    Array.fold_left
+      (fun acc (b : Cophy.Sproblem.block) -> acc +. b.Cophy.Sproblem.weight)
+      0.0 sp.Cophy.Sproblem.blocks
+  in
+  Alcotest.(check (float (1e-12 *. total))) "weights sum to the workload's" total
+    merged;
+  let rng = Random.State.make [| 11 |] in
+  for _ = 1 to 10 do
+    let z = Array.map (fun _ -> Random.State.int rng 4 = 0) cands in
+    let via_inum =
+      Inum.workload_cost e cache (Cophy.Sproblem.config_of sp z)
+    in
+    Alcotest.(check (float (1e-9 *. via_inum))) "eval = INUM workload cost"
+      via_inum (Cophy.Sproblem.eval sp z)
+  done
+
+(* Refining a workload with repeated caches forces each cache once: the
+   duplicated workload spends the probes of the deduplicated one and
+   keeps the same templates. *)
+let test_refine_cache_once_per_cache () =
+  let e = env () in
+  let w, w2 = hom100_respelled () in
+  let config =
+    Storage.Config.of_list
+      (List.filteri (fun i _ -> i mod 3 = 0) (Cophy.Cgen.generate w))
+  in
+  let refined w =
+    let cache = Inum.build_workload ~probe_budget:16 e w in
+    (cache, Inum.refine_cache cache ~config)
+  in
+  let c1, forced1 = refined w in
+  let c2, forced2 = refined w2 in
+  Alcotest.(check bool) "some probes forced" true (forced1 > 0);
+  Alcotest.(check int) "same probes forced" forced1 forced2;
+  let betas cache =
+    List.map
+      (fun (_, _, inum) ->
+        List.map (fun (t : Inum.template) -> t.Inum.beta) (Inum.templates inum))
+      cache.Inum.selects
+  in
+  let n = List.length c1.Inum.selects in
+  Alcotest.(check (list (list (float 0.0)))) "same kept templates" (betas c1)
+    (List.filteri (fun i _ -> i < n) (betas c2))
+
 (* --- Theorem 1: the BIP optimum equals exhaustive search --- *)
 
 let exhaustive_optimum sp ~budget =
@@ -387,6 +505,60 @@ let test_solver_certified () =
   let decomposed = run true Cophy.Solver.Decomposed in
   Alcotest.(check bool) "decomposed selection certified non-trivially" true
     (Array.length decomposed.Cophy.Solver.z > 0)
+
+(* A query-cost cap on a statement merged behind another one (same
+   canonical key, later id) still gets its [cost_cap_<id>] row, on the
+   block holding it, and the exact solve meets the cap. *)
+let test_cost_cap_on_merged_member () =
+  let base = small_workload ~n:6 () in
+  let q = fst (List.hd (Ast.selects base)) in
+  let id = q.Ast.query_id + 1000 in
+  let w = base @ [ { Ast.stmt = Ast.Select (respell ~id q); weight = 1.0 } ] in
+  let candidates =
+    List.filteri (fun i _ -> i mod 5 = 0) (Cophy.Cgen.generate w)
+  in
+  let factor = 0.9 in
+  let s =
+    Cophy.Interactive.create ~candidates
+      ~constraints:[ Constr.for_query id factor ]
+      schema w ~budget:(0.25 *. db_size)
+  in
+  let sp = Cophy.Interactive.problem s in
+  (match
+     List.find_opt
+       (fun (b : Cophy.Sproblem.block) ->
+         Array.exists (Int.equal id) b.Cophy.Sproblem.qids)
+       (Array.to_list sp.Cophy.Sproblem.blocks)
+   with
+  | Some b ->
+      Alcotest.(check int) "merged behind the original" q.Ast.query_id
+        b.Cophy.Sproblem.qids.(0)
+  | None -> Alcotest.fail "respelled statement in no block");
+  let inum =
+    match
+      List.find_opt
+        (fun ((q' : Ast.query), _, _) -> q'.Ast.query_id = id)
+        (Cophy.Interactive.cache s).Inum.selects
+    with
+    | Some (_, _, inum) -> inum
+    | None -> Alcotest.fail "respelled statement not cached"
+  in
+  let cap = factor *. Inum.cost inum Storage.Config.empty in
+  let p, _ = Cophy.Sproblem.to_lp ~block_caps:[ (id, cap) ] sp in
+  Alcotest.(check bool) "cap row exists" true
+    (Array.exists
+       (fun (r : Lp.Problem.row) ->
+         String.equal r.Lp.Problem.rname (Printf.sprintf "cost_cap_%d" id))
+       (Lp.Problem.rows p));
+  let exact = { Cophy.Solver.default_options with Cophy.Solver.method_ = Cophy.Solver.Exact } in
+  let uncapped =
+    Cophy.Solver.solve ~options:exact sp ~budget:(0.25 *. db_size) ~z_rows:[]
+  in
+  Alcotest.(check bool) "the cap binds" true
+    (Inum.cost inum uncapped.Cophy.Solver.config > cap);
+  let report = Cophy.Interactive.retune ~options:exact s in
+  Alcotest.(check bool) "recommendation meets the cap" true
+    (Inum.cost inum report.Cophy.Solver.config <= cap *. (1.0 +. 1e-9))
 
 (* --- Advisor pipeline --- *)
 
@@ -921,6 +1093,10 @@ let () =
         [
           Alcotest.test_case "eval = INUM" `Quick test_sproblem_eval_matches_inum;
           Alcotest.test_case "slot pruning lossless form" `Quick test_sproblem_slot_pruning;
+          Alcotest.test_case "one block per cost structure" `Quick
+            test_sproblem_merged_blocks;
+          Alcotest.test_case "refine once per cache" `Quick
+            test_refine_cache_once_per_cache;
         ] );
       ( "theorem1",
         [
@@ -948,6 +1124,8 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_solver_infeasible;
           Alcotest.test_case "paths agree" `Slow test_solver_paths_agree;
           Alcotest.test_case "certified" `Quick test_solver_certified;
+          Alcotest.test_case "cost cap on a merged statement" `Quick
+            test_cost_cap_on_merged_member;
         ] );
       ("advisor", [ Alcotest.test_case "end to end" `Quick test_advisor_end_to_end ]);
       ( "pareto",

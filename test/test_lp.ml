@@ -496,6 +496,22 @@ let test_dual_warm_matches_cold () =
   Alcotest.(check bool) "dual iterations happened" true
     (counter "simplex.dual_iterations" > 0)
 
+(* A warm resolve is a dual re-solve that ended optimal: one that falls
+   back cold ticks [simplex.warm_fallbacks] instead (and its cold run
+   ticks [simplex.solves] a second time).  On the knapsack fixture 74
+   dual runs start and 3 fall back, across 77 LP relaxations. *)
+let test_warm_resolves_exclude_fallbacks () =
+  let p = Lp.Lp_format.of_file "fixtures/knapsack.lp" in
+  let r, counter = traced (fun () -> Lp.Branch_bound.solve p) in
+  Alcotest.(check bool) "optimal" true
+    (r.Lp.Branch_bound.status = Lp.Branch_bound.Optimal);
+  let warm = counter "simplex.warm_resolves" in
+  let fallbacks = counter "simplex.warm_fallbacks" in
+  Alcotest.(check int) "lp solves" 77 (counter "simplex.solves" - fallbacks);
+  Alcotest.(check int) "warm resolves" 71 warm;
+  Alcotest.(check int) "started dual runs = warm + fallbacks" 74
+    (warm + fallbacks)
+
 (* --- LP file format --- *)
 
 let test_lp_format_roundtrip () =
@@ -1272,6 +1288,8 @@ let () =
           Alcotest.test_case "decision vars" `Quick test_bb_decision_vars;
           Alcotest.test_case "dual warm resolve = cold primal" `Quick
             test_dual_warm_matches_cold;
+          Alcotest.test_case "warm resolves exclude fallbacks" `Quick
+            test_warm_resolves_exclude_fallbacks;
           QCheck_alcotest.to_alcotest prop_bb_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_bb_cuts_warm_jobs_agree;
           Alcotest.test_case "bound capped at incumbent" `Quick
